@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 __all__ = [
     "AttrSet",
     "KeySet",
@@ -202,6 +204,25 @@ class Relation:
     @cached_property
     def by_id(self) -> dict[int, Row]:
         return {row.row_id: row for row in self.rows}
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Read-only int32 ``(rows, width)`` matrix of per-column value codes.
+
+        Each column's distinct strings get dense codes ``0, 1, ...`` in
+        order of first appearance; a missing value is ``-1``. Built on
+        first access and kept for the life of the relation.
+        """
+        codes = np.empty((len(self.rows), len(self.schema)), dtype=np.int32)
+        columns = zip(*(row.values for row in self.rows)) if self.rows else ()
+        for j, column in enumerate(columns):
+            distinct = dict.fromkeys(column)
+            distinct.pop(None, None)
+            lookup = {v: i for i, v in enumerate(distinct)}
+            lookup[None] = -1
+            codes[:, j] = np.fromiter(map(lookup.__getitem__, column), dtype=np.int32, count=len(column))
+        codes.flags.writeable = False
+        return codes
 
     def __len__(self) -> int:
         return len(self.rows)

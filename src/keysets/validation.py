@@ -8,10 +8,17 @@ Two independent routes compute which rows take part in a violation:
   usable, but the output is exactly the definitional all-pairs result.
 
 * :func:`violating_blocks` refines a block partition one key at a time.
-  Rows that are total on the current key are hashed by their projection;
-  incomplete rows join every hash class, because a missing value can match
-  anything. Each key is processed in one pass, so the run time is linear
-  in rows times total key size for bounded block overlap.
+  Rows that are total on the current key are grouped by their projection;
+  incomplete rows join every class of their block, because a missing value
+  can match anything. Each key is one round of numpy sorting and grouping
+  over the relation's integer codes (:attr:`Relation.codes`), so the run
+  time is linear in rows times total key size, up to the sort's log factor,
+  for bounded block overlap. :func:`block_trace` and :func:`satisfies` run
+  the same refinement loop; ``satisfies`` stops at the first empty state.
+
+Both routes read ``Relation.codes``, which is built on first use and
+cached on the relation: validating many key sets on one relation pays the
+encoding once (about 0.14 s at 40k rows by 8 columns).
 
 The union of the returned blocks always equals the naive violating set.
 """
@@ -23,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import KeySet, Relation, Row, attr_sort_key
+from .core import KeySet, Relation, attr_sort_key
 
 __all__ = ["BlockSet", "block_trace", "satisfies", "violating_blocks", "violating_tuples_naive"]
 
@@ -59,33 +66,142 @@ def _check_fits(relation: Relation, ks: KeySet) -> None:
         raise ValueError("key set references attributes outside the relation's schema")
 
 
-def _split_on_key(blocks: list[list[Row]], key_cols: tuple[int, ...]) -> list[list[Row]]:
-    """One refinement round: split every block on one key.
+def _mix(pos: np.ndarray) -> np.ndarray:
+    """A well-spread 64-bit hash of each row position (splitmix64)."""
+    z = (pos.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    Rows total on the key hash by projection; incomplete rows are merged
-    into every hash class. A block consisting only of incomplete rows
-    survives as a whole. Classes of size < 2 are dropped, identical result
-    blocks are merged.
+
+def _starts(blk: np.ndarray) -> np.ndarray:
+    """Index of each block's first member in a state sorted by block."""
+    return np.flatnonzero(_change(blk))
+
+
+def _change(sorted_values: np.ndarray) -> np.ndarray:
+    """True where a sorted array differs from its predecessor, and at 0."""
+    out = np.ones(len(sorted_values), dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=out[1:])
+    return out
+
+
+def _within(counts: np.ndarray) -> np.ndarray:
+    """``0, 1, ..., c - 1`` for each count ``c``, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _dense(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of ``key`` and its values' dense ranks in that order."""
+    order = np.argsort(key, kind="stable")
+    return order, np.cumsum(_change(key[order])) - 1
+
+
+def _merge_identical(blk: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop every block whose member set equals an earlier one.
+
+    Blocks with the same size and membership hash are candidates; each is
+    compared member by member with the first block of its run, so no two
+    different blocks are ever merged. (A hash collision can only leave a
+    duplicate in place, and :class:`BlockSet` removes those.)
     """
-    seen: dict[frozenset[int], list[Row]] = {}
-    for block in blocks:
-        classes: dict[tuple[str | None, ...], list[Row]] = {}
-        incomplete: list[Row] = []
-        for row in block:
-            proj = tuple(row.values[c] for c in key_cols)
-            if any(v is None for v in proj):
-                incomplete.append(row)
-            else:
-                classes.setdefault(proj, []).append(row)
-        if classes:
-            for group in classes.values():
-                merged = group + incomplete if incomplete else group
-                if len(merged) > 1:
-                    seen.setdefault(frozenset(r.row_id for r in merged), merged)
-        elif len(incomplete) > 1:
-            seen.setdefault(frozenset(r.row_id for r in incomplete), incomplete)
-    ordered = sorted(seen.items(), key=lambda item: tuple(sorted(item[0])))
-    return [rows for _, rows in ordered]
+    starts = _starts(blk)
+    sizes = np.diff(starts, append=len(pos))
+    hashes = np.add.reduceat(_mix(pos), starts)
+    order = np.lexsort((hashes, sizes))
+    run = _change(sizes[order]) | _change(hashes[order])
+    if run.all():
+        return blk, pos
+    head = np.empty_like(order)
+    head[order] = order[np.maximum.accumulate(np.where(run, np.arange(len(order)), 0))]
+    cand = np.flatnonzero(head != np.arange(len(head)))
+    width = sizes[cand]
+    within = _within(width)
+    equal = pos[np.repeat(starts[cand], width) + within] == pos[np.repeat(starts[head[cand]], width) + within]
+    drop = np.zeros(len(starts), dtype=bool)
+    drop[cand[np.logical_and.reduceat(equal, np.cumsum(width) - width)]] = True
+    keep = ~drop[blk]
+    return (np.cumsum(~drop) - 1)[blk[keep]], pos[keep]
+
+
+def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, cols: list[int]):
+    """One refinement round: split every block on the key ``cols``.
+
+    A state is a pair of arrays, block id and row position, sorted by
+    (block, row). Members total on the key are grouped by (block,
+    projection); incomplete members are copied into every class of their
+    block, and a block with no total member keeps its incomplete rows as
+    one block. Classes of fewer than two rows are dropped. Only blocks that
+    share a row can come out identical, so identical blocks are merged only
+    when ``overlap`` (the input state has a row in two blocks) or some
+    member is incomplete on the key; the returned flag says whether the
+    new state overlaps.
+    """
+    n = len(codes)
+    nblocks = int(blk[-1]) + 1
+    sub = codes[pos[:, None], cols]
+    total = (sub >= 0).all(axis=1)
+    all_total = total.all()
+    t_blk, t_pos, sub = (blk, pos, sub) if all_total else (blk[total], pos[total], sub[total])
+    # class key: block id, then each key column, in mixed radix; re-densify
+    # whenever the next step could leave int64
+    key, bound = t_blk.astype(np.int64), nblocks
+    for j in range(len(cols)):
+        card = int(sub[:, j].max(initial=0)) + 1
+        if bound * card >= 1 << 62:
+            order, rank = _dense(key)
+            key = np.empty_like(rank)
+            key[order] = rank
+            bound = int(rank[-1]) + 1
+        key = key * card + sub[:, j]
+        bound *= card
+    # the stable sort keeps rows ascending inside each class
+    order, cls = _dense(key)
+    new_pos = t_pos[order]
+    if not all_total:
+        per_block = np.bincount(t_blk[order[_change(cls)]], minlength=nblocks)
+        i_blk, i_pos = blk[~total], pos[~total]
+        copies = per_block[i_blk]
+        class_start = np.cumsum(per_block) - per_block
+        c_cls = np.repeat(class_start[i_blk], copies) + _within(copies)
+        orphan = copies == 0
+        o_cls = np.cumsum(_change(i_blk[orphan])) - 1 + per_block.sum()
+        cls = np.concatenate((cls, c_cls, o_cls))
+        new_pos = np.concatenate((new_pos, np.repeat(i_pos, copies), i_pos[orphan]))
+        order = np.argsort(cls * n + new_pos)
+        cls, new_pos = cls[order], new_pos[order]
+    keep = np.bincount(cls) >= 2
+    member = keep[cls]
+    blk, pos = (np.cumsum(keep) - 1)[cls[member]], new_pos[member]
+    if overlap or not all_total:
+        seen = np.zeros(n, dtype=bool)
+        seen[pos] = True
+        overlap = np.count_nonzero(seen) < len(pos)
+        if overlap:
+            blk, pos = _merge_identical(blk, pos)
+    return blk, pos, overlap
+
+
+def _refine(relation: Relation, ks: KeySet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the block state after each key of ``ks``, in canonical order."""
+    codes = relation.codes
+    blk = np.zeros(len(codes) if len(codes) > 1 else 0, dtype=np.intp)
+    pos = np.arange(len(blk))
+    overlap = False
+    for key in ks.sorted_keys:
+        if len(pos):
+            blk, pos, overlap = _split(codes, blk, pos, overlap, sorted(key))
+        yield blk, pos
+
+
+def _blockset(relation: Relation, blk: np.ndarray, pos: np.ndarray) -> BlockSet:
+    """Map a state's row positions back to row ids."""
+    if not len(pos):
+        return BlockSet(())
+    rows = relation.rows
+    ids = [rows[i].row_id for i in pos.tolist()]
+    bounds = [*_starts(blk).tolist(), len(ids)]
+    return BlockSet(tuple(frozenset(ids[a:b]) for a, b in zip(bounds, bounds[1:])))
 
 
 def block_trace(relation: Relation, ks: KeySet) -> list[BlockSet]:
@@ -95,13 +211,7 @@ def block_trace(relation: Relation, ks: KeySet) -> list[BlockSet]:
     keys; the last entry is the final (unfiltered) state.
     """
     _check_fits(relation, ks)
-    blocks: list[list[Row]] = [list(relation.rows)] if relation.rows else []
-    trace: list[BlockSet] = []
-    for key in ks.sorted_keys:
-        if blocks:
-            blocks = _split_on_key(blocks, tuple(sorted(key)))
-        trace.append(BlockSet(tuple(frozenset(r.row_id for r in b) for b in blocks)))
-    return trace
+    return [_blockset(relation, blk, pos) for blk, pos in _refine(relation, ks)]
 
 
 def _maximal_only(blocks: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
@@ -118,33 +228,16 @@ def violating_blocks(relation: Relation, ks: KeySet) -> BlockSet:
     The relation satisfies ``ks`` iff the result is empty. Use
     :func:`block_trace` for the raw per-key states.
     """
-    trace = block_trace(relation, ks)
-    final = trace[-1] if trace else BlockSet(())
-    return BlockSet(_maximal_only(final.blocks))
+    _check_fits(relation, ks)
+    for state in _refine(relation, ks):
+        pass
+    return BlockSet(_maximal_only(_blockset(relation, *state).blocks))
 
 
 def satisfies(relation: Relation, ks: KeySet) -> bool:
     """True iff every pair of distinct rows is separated by some key."""
     _check_fits(relation, ks)
-    blocks: list[list[Row]] = [list(relation.rows)] if relation.rows else []
-    for key in ks.sorted_keys:
-        if not blocks:
-            break
-        blocks = _split_on_key(blocks, tuple(sorted(key)))
-    return not blocks
-
-
-def _column_codes(relation: Relation) -> np.ndarray:
-    """Per-column integer codes; missing values become -1."""
-    n, width = len(relation.rows), len(relation.schema)
-    codes = np.empty((n, width), dtype=np.int32)
-    for j in range(width):
-        seen: dict[str, int] = {}
-        col = codes[:, j]
-        for i, row in enumerate(relation.rows):
-            v = row.values[j]
-            col[i] = -1 if v is None else seen.setdefault(v, len(seen))
-    return codes
+    return any(not len(pos) for _, pos in _refine(relation, ks))
 
 
 def violating_tuples_naive(relation: Relation, ks: KeySet) -> frozenset[int]:
@@ -153,7 +246,7 @@ def violating_tuples_naive(relation: Relation, ks: KeySet) -> frozenset[int]:
     n = len(relation.rows)
     if n < 2:
         return frozenset()
-    codes = _column_codes(relation)
+    codes = relation.codes
     keys = [np.array(sorted(key), dtype=np.intp) for key in sorted(ks.keys, key=attr_sort_key)]
     total = [
         (codes[:, cols] >= 0).all(axis=1) if len(cols) > 1 else codes[:, cols[0]] >= 0

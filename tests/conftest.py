@@ -19,7 +19,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from keysets import KeySet, Relation, Schema, satisfies
+from keysets import BlockSet, KeySet, Relation, Row, Schema, satisfies
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -206,6 +206,46 @@ def random_choice_map(rng: random.Random, family) -> dict:
     return mapping
 
 
+def reference_split(blocks: list[list[Row]], key_cols: tuple[int, ...]) -> list[list[Row]]:
+    """One refinement round over Row objects, by tuple hashing.
+
+    Rows total on the key hash by projection; incomplete rows are merged
+    into every hash class. A block consisting only of incomplete rows
+    survives as a whole. Classes of size < 2 are dropped, identical result
+    blocks are merged.
+    """
+    seen: dict[frozenset[int], list[Row]] = {}
+    for block in blocks:
+        classes: dict[tuple[str | None, ...], list[Row]] = {}
+        incomplete: list[Row] = []
+        for row in block:
+            proj = tuple(row.values[c] for c in key_cols)
+            if any(v is None for v in proj):
+                incomplete.append(row)
+            else:
+                classes.setdefault(proj, []).append(row)
+        if classes:
+            for group in classes.values():
+                merged = group + incomplete if incomplete else group
+                if len(merged) > 1:
+                    seen.setdefault(frozenset(r.row_id for r in merged), merged)
+        elif len(incomplete) > 1:
+            seen.setdefault(frozenset(r.row_id for r in incomplete), incomplete)
+    return list(seen.values())
+
+
+def reference_block_trace(relation: Relation, ks: KeySet) -> list[BlockSet]:
+    """The block state after each key, refined row by row (the oracle for
+    ``block_trace``)."""
+    blocks: list[list[Row]] = [list(relation.rows)] if relation.rows else []
+    trace: list[BlockSet] = []
+    for key in ks.sorted_keys:
+        if blocks:
+            blocks = reference_split(blocks, tuple(sorted(key)))
+        trace.append(BlockSet(tuple(frozenset(r.row_id for r in b) for b in blocks)))
+    return trace
+
+
 # --------------------------------------------------------------------------
 # Hypothesis strategies.
 
@@ -234,6 +274,24 @@ def relation_keyset_st(draw, min_width=2, max_width=5, max_rows=8, max_keys=3, m
     rel = draw(relations_st(min_width, max_width, max_rows))
     ks = draw(keysets_st(len(rel.schema), max_keys, max_size))
     return rel, ks
+
+
+@st.composite
+def null_heavy_relation_keyset_st(draw, max_width=5, max_rows=14, max_keys=4, max_size=3):
+    """Relations with up to 70% missing cells and 1-3 values per column,
+    under shuffled, non-contiguous row ids, with a key set over them."""
+    width = draw(st.integers(1, max_width))
+    null_rate = draw(st.sampled_from((0.0, 0.1, 0.3, 0.5, 0.7)))
+    distinct = draw(st.integers(1, 3))
+    nrows = draw(st.integers(0, max_rows))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [
+        tuple(None if rnd.random() < null_rate else f"v{rnd.randrange(distinct)}" for _ in range(width))
+        for _ in range(nrows)
+    ]
+    row_ids = rnd.sample(range(3 * nrows + 5), nrows)
+    rel = Relation.from_values(Schema(tuple(f"c{i}" for i in range(width))), rows, row_ids=row_ids)
+    return rel, draw(keysets_st(width, max_keys, max_size))
 
 
 # --------------------------------------------------------------------------

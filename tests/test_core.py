@@ -6,6 +6,7 @@ differ. The grammar goldens pin the canonical output format, which
 sorts attributes by schema position and keys lexicographically.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -125,6 +126,33 @@ def test_relation_validation(ward_schema):
         Relation.from_values(ward_schema, [("1", "2")])
     with pytest.raises(ValueError):
         Relation.from_values(ward_schema, [("1",) * 5], row_ids=(1, 2))
+
+
+def assert_codes_encode(rel: Relation) -> None:
+    codes = rel.codes
+    assert codes.dtype == np.int32 and codes.shape == (len(rel), len(rel.schema))
+    for j in range(len(rel.schema)):
+        column = [row.values[j] for row in rel.rows]
+        for i, v in enumerate(column):
+            assert (codes[i, j] == -1) == (v is None)
+            for i2, v2 in enumerate(column):
+                if v is not None and v2 is not None:
+                    assert (codes[i, j] == codes[i2, j]) == (v == v2)
+
+
+def test_relation_codes(ward, ward_schema):
+    assert_codes_encode(ward)
+    assert ward.codes[:, 0].tolist() == [0, -1, 1, 0]
+    assert ward.codes is ward.codes
+    assert not ward.codes.flags.writeable
+    with pytest.raises(ValueError):
+        ward.codes[0, 0] = 5
+    assert Relation.from_values(ward_schema, []).codes.shape == (0, 5)
+
+
+@given(relations_st(max_rows=8))
+def test_relation_codes_random(rel):
+    assert_codes_encode(rel)
 
 
 # --------------------------------------------------------------------------

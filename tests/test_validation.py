@@ -8,10 +8,10 @@ semantics before being frozen here.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import relation_keyset_st
+from conftest import null_heavy_relation_keyset_st, reference_block_trace, relation_keyset_st
 from keysets import (
     BlockSet,
     KeySet,
@@ -191,3 +191,13 @@ def test_removing_rows_never_adds_violations(pair, data):
     keep = data.draw(st.sets(st.sampled_from([r.row_id for r in rel.rows])))
     sub = Relation(rel.schema, tuple(r for r in rel.rows if r.row_id in keep))
     assert violating_blocks(sub, ks).row_ids <= violating_blocks(rel, ks).row_ids
+
+
+@settings(max_examples=200)
+@given(null_heavy_relation_keyset_st())
+def test_block_trace_matches_row_refinement(pair):
+    """Every per-key state of the code-based refinement equals the
+    row-by-row reference, under heavy nulls and arbitrary row ids."""
+    rel, ks = pair
+    assert block_trace(rel, ks) == reference_block_trace(rel, ks)
+    assert_routes_agree(rel, ks)
