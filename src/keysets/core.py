@@ -109,15 +109,15 @@ class KeySet:
     keys: frozenset[AttrSet]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", frozenset(frozenset(k) for k in self.keys))
+        object.__setattr__(self, "keys", frozenset(map(frozenset, self.keys)))
         if not self.keys:
             raise ValueError("a key set needs at least one key")
-        for key in self.keys:
-            if not key:
-                raise ValueError("keys must be non-empty")
-            for a in key:
-                if not isinstance(a, int) or a < 0:
-                    raise ValueError(f"attribute indices must be non-negative ints, got {a!r}")
+        if frozenset() in self.keys:
+            raise ValueError("keys must be non-empty")
+        # each distinct attribute is checked once, not once per key
+        for a in frozenset().union(*self.keys):
+            if not isinstance(a, int) or a < 0:
+                raise ValueError(f"attribute indices must be non-negative ints, got {a!r}")
 
     @classmethod
     def of(cls, *keys: Iterable[int]) -> "KeySet":
@@ -277,52 +277,57 @@ class ParseError(ValueError):
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# The body of a quoted name: non-quote characters and backslash escapes.
+# Patterns here are written unrolled, runs of plain characters between
+# the special ones, so the regex engine scans each run in one step.
+_QUOTED_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
+# One match per token; finditer skips the whitespace between tokens. The
+# last group takes any other character, including a quote that opens no
+# complete quoted name.
+_TOKEN = re.compile(
+    r'([{},])|"(' + _QUOTED_BODY + r')"|(' + _IDENT.pattern + r")|(\S)", re.DOTALL
+)
+_QUOTED_BODY_RE = re.compile(_QUOTED_BODY, re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+# An attribute set as text, with quoted names skipped so that braces and
+# commas inside them do not count, and the two shapes built from it.
+_ATTR_SET = r'\{[^{}"]*(?:"' + _QUOTED_BODY + r'"[^{}"]*)*\}'
+_ATTR_SET_RE = re.compile(_ATTR_SET, re.DOTALL)
+_KEYSET_SHAPE = re.compile(
+    r"\s*\{\s*(?:" + _ATTR_SET + r"\s*,\s*)*" + _ATTR_SET + r"\s*\}\s*", re.DOTALL
+)
+_ATTR_SET_SHAPE = re.compile(r"\s*" + _ATTR_SET + r"\s*", re.DOTALL)
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "{},":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            buf: list[str] = []
-            while i < n and text[i] != '"':
-                if text[i] == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("unterminated escape", i)
-                    buf.append(text[i + 1])
-                    i += 2
-                else:
-                    buf.append(text[i])
-                    i += 1
-            if i >= n:
-                raise ParseError("unterminated quoted name", start)
-            i += 1
-            if not buf:
-                raise ParseError("empty quoted name", start)
-            tokens.append(("name", "".join(buf), start))
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(("name", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        punct, quoted, ident, other = m.groups()
+        at = m.start()
+        if punct:
+            tokens.append((punct, punct, at))
+        elif ident:
+            tokens.append(("name", ident, at))
+        elif quoted:
+            tokens.append(("name", _ESCAPE.sub(r"\1", quoted), at))
+        elif quoted is not None:
+            raise ParseError("empty quoted name", at)
+        elif other != '"':
+            raise ParseError(f"unexpected character {other!r}", at)
+        else:
+            # the body stops short of the end only at a final backslash
+            stop = _QUOTED_BODY_RE.match(text, at + 1).end()
+            if stop < len(text):
+                raise ParseError("unterminated escape", stop)
+            raise ParseError("unterminated quoted name", at)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, text: str, schema: Schema):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list[tuple[str, str, int]], schema: Schema):
+        self.tokens = tokens
         self.pos = 0
         self.schema = schema
 
@@ -376,31 +381,60 @@ class _Parser:
             raise ParseError(f"unexpected trailing {tok[1]!r}", tok[2])
 
 
+def _parse_sets(
+    text: str, schema: Schema, memo: dict[str, AttrSet], keyset: bool
+) -> KeySet | AttrSet:
+    """Parse key-set text (``keyset``) or one attribute set (``{}`` allowed).
+
+    The shape regex checks the bracket structure with quoted names
+    skipped. Each attribute-set text it finds is parsed once and kept in
+    ``memo``, which the caller owns, so a caller parsing many texts passes
+    one memo for all of them. Text that fails anywhere is parsed again as
+    a whole, so every error carries its position in ``text``.
+    """
+    if (_KEYSET_SHAPE if keyset else _ATTR_SET_SHAPE).fullmatch(text):
+        sets: list[AttrSet] = []
+        for part in _ATTR_SET_RE.findall(text):
+            attrs = memo.get(part)
+            if attrs is None:
+                try:
+                    p = _Parser(_tokenize(part), schema)
+                    attrs = p.attr_set(allow_empty=True)
+                    p.finish()
+                except ParseError:
+                    break
+                memo[part] = attrs
+            if keyset and not attrs:
+                break
+            sets.append(attrs)
+        else:
+            return KeySet(frozenset(sets)) if keyset else sets[0]
+    p = _Parser(_tokenize(text), schema)
+    result = p.keyset() if keyset else p.attr_set(allow_empty=True)
+    p.finish()
+    return result
+
+
 def parse_keyset(text: str, schema: Schema) -> KeySet:
     """Parse key-set text like ``{{room,time},{injury,time}}``."""
-    p = _Parser(text, schema)
-    ks = p.keyset()
-    p.finish()
-    return ks
+    return _parse_sets(text, schema, {}, keyset=True)
 
 
 def parse_attr_set(text: str, schema: Schema) -> AttrSet:
     """Parse a single attribute set like ``{room,time}``; ``{}`` is allowed."""
-    p = _Parser(text, schema)
-    attrs = p.attr_set(allow_empty=True)
-    p.finish()
-    return attrs
+    return _parse_sets(text, schema, {}, keyset=False)
 
 
 def parse_keyset_lines(text: str, schema: Schema) -> KeySetFamily:
     """Parse one key set per non-blank line; ``#`` lines are comments."""
+    memo: dict[str, AttrSet] = {}
     out: list[KeySet] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            out.append(parse_keyset(line, schema))
+            out.append(_parse_sets(line, schema, memo, keyset=True))
         except ParseError as exc:
             raise ParseError(f"line {lineno}: {exc.args[0]}", exc.position) from None
     return tuple(out)
@@ -427,12 +461,14 @@ def parse_schema(text: str) -> Schema:
     """Parse a comma-separated attribute name list into a schema."""
     tokens = _tokenize(text)
     pos = 0
-    names: list[str] = []
+    names: dict[str, None] = {}
     while True:
         kind, value, at = tokens[pos]
         if kind != "name":
             raise ParseError("expected an attribute name", at)
-        names.append(value)
+        if value in names:
+            raise ParseError(f"duplicate attribute name {value!r}", at)
+        names[value] = None
         pos += 1
         kind, _, at = tokens[pos]
         if kind == "end":

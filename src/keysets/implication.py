@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .core import AttrSet, KeySet, KeySetFamily, Relation, Schema
+from .core import AttrSet, KeySet, KeySetFamily, ParseError, Relation, Schema
 
 __all__ = [
     "ChoiceProductTooLarge",
@@ -211,41 +211,55 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF; variables are named x1..xV.
 
     Clauses longer than three literals are rejected, as is a clause with
-    no literals or a missing terminating 0.
+    no literals or a missing terminating 0. Every error is a
+    :class:`ParseError` that names the line; errors found at the end of
+    the input name its last line.
     """
     num_vars: int | None = None
     clauses: list[frozenset[Literal]] = []
     current: set[Literal] = set()
-    for raw in text.splitlines():
+    lineno = 0
+
+    def fail(message: str) -> ParseError:
+        return ParseError(f"line {lineno}: {message}" if lineno else message, lineno)
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"malformed problem line: {raw!r}")
-            num_vars = int(parts[2])
+            try:
+                counts = [int(part) for part in parts[2:]]
+            except ValueError:
+                counts = []
+            if parts[:2] != ["p", "cnf"] or len(counts) != 2 or min(counts) < 0:
+                raise fail(f"malformed problem line: {raw!r}")
+            num_vars = counts[0]
             continue
         if num_vars is None:
-            raise ValueError("clause data before the problem line")
+            raise fail("clause data before the problem line")
         for tok in line.split():
-            lit = int(tok)
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise fail(f"literal {tok!r} is not an integer") from None
             if lit == 0:
                 if not current:
-                    raise ValueError("empty clause")
+                    raise fail("empty clause")
                 if len(current) > 3:
-                    raise ValueError(f"clause has {len(current)} literals, at most 3 allowed")
+                    raise fail(f"clause has {len(current)} literals, at most 3 allowed")
                 clauses.append(frozenset(current))
                 current = set()
                 continue
             var = abs(lit)
             if var > num_vars:
-                raise ValueError(f"literal {lit} exceeds declared variable count {num_vars}")
+                raise fail(f"literal {lit} exceeds declared variable count {num_vars}")
             current.add((f"x{var}", lit > 0))
     if current:
-        raise ValueError("last clause is not terminated by 0")
+        raise fail("last clause is not terminated by 0")
     if num_vars is None:
-        raise ValueError("missing problem line")
+        raise fail("missing problem line")
     return CnfFormula(tuple(f"x{i}" for i in range(1, num_vars + 1)), tuple(clauses))
 
 

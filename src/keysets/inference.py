@@ -19,7 +19,10 @@ Derivations are explicit objects: premises, steps with rule name,
 references, parameters and claimed conclusion, and a final conclusion.
 :func:`check_derivation` re-runs every step and accepts only exact
 matches. A line-oriented text form round-trips through
-:func:`format_derivation` and :func:`parse_derivation`.
+:func:`format_derivation` and :func:`parse_derivation`. Reading and
+writing it takes time linear in the size of the text: each distinct
+attribute set is parsed, or written, once per call, and every later
+occurrence is a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from math import prod
 from typing import Mapping, Sequence
 
 from .core import (
@@ -35,13 +39,12 @@ from .core import (
     KeySetFamily,
     ParseError,
     Schema,
-    format_attr_set,
-    format_keyset,
-    format_schema,
-    parse_attr_set,
-    parse_keyset,
+    _QUOTED_BODY,
+    _parse_sets,
+    format_attr_name,
     parse_schema,
 )
+from .implication import DEFAULT_CHOICE_CAP, ChoiceProductTooLarge
 
 __all__ = [
     "CompositionParams",
@@ -412,18 +415,25 @@ def simulate_nary(
 # Deriving an implied key set.
 
 
-def derive_keyset(premises: Sequence[KeySet], goal: KeySet) -> Derivation:
+def derive_keyset(
+    premises: Sequence[KeySet], goal: KeySet, *, max_choices: int = DEFAULT_CHOICE_CAP
+) -> Derivation:
     """Derivation of an implied ``goal``: one n-ary Composition, then
     Refinements, then at most one Upward closure.
 
     For each tuple of keys drawn from the premises, the composition keeps
     the union of the goal keys contained in the tuple's attribute union;
     refinements then split those unions back into the goal keys. Raises
-    :class:`RuleError` when ``goal`` is not implied.
+    :class:`RuleError` when ``goal`` is not implied, and
+    :class:`ChoiceProductTooLarge`, before enumerating any tuple, when the
+    product of the premise sizes exceeds ``max_choices``.
     """
     premises = tuple(premises)
     if not premises:
         raise RuleError("an empty premise family implies no key set")
+    size = prod(len(p) for p in premises)
+    if size > max_choices:
+        raise ChoiceProductTooLarge(size, max_choices)
     goal_keys = goal.sorted_keys
     mapping: dict[tuple[AttrSet, ...], AttrSet] = {}
     parts_for: dict[AttrSet, tuple[AttrSet, ...]] = {}
@@ -489,77 +499,81 @@ def derive_keyset(premises: Sequence[KeySet], goal: KeySet) -> Derivation:
 # '#' lines are comments.
 
 
-def _format_params(params: StepParams, schema: Schema) -> str:
-    if isinstance(params, UpwardClosureParams):
-        return format_keyset(params.extra, schema)
-    if isinstance(params, RefinementParams):
-        return (
-            format_attr_set(params.target, schema)
-            + "->"
-            + format_attr_set(params.left, schema)
-            + "|"
-            + format_attr_set(params.right, schema)
-        )
-    entries = []
-    for combo, chosen in params.entries:
-        lhs = "|".join(format_attr_set(k, schema) for k in combo)
-        entries.append(f"{lhs}->{format_attr_set(chosen, schema)}")
-    return "; ".join(entries)
-
-
 def format_derivation(d: Derivation, schema: Schema) -> str:
-    lines = ["schema: " + format_schema(schema)]
+    """Canonical text form; :func:`parse_derivation` inverts it exactly."""
+    # each name is escaped, and each distinct attribute set written, once
+    names = [format_attr_name(name) for name in schema.attributes]
+    texts: dict[AttrSet, str] = {}
+
+    def attr_set(attrs: AttrSet) -> str:
+        text = texts.get(attrs)
+        if text is None:
+            text = texts[attrs] = "{" + ",".join([names[a] for a in sorted(attrs)]) + "}"
+        return text
+
+    def keyset(ks: KeySet) -> str:
+        return "{" + ",".join(map(attr_set, ks.sorted_keys)) + "}"
+
+    lines = ["schema: " + ",".join(names)]
     for i, premise in enumerate(d.premises):
-        lines.append(f"premise {i}: {format_keyset(premise, schema)}")
+        lines.append(f"premise {i}: {keyset(premise)}")
     for i, step in enumerate(d.steps):
+        params = step.params
+        if isinstance(params, UpwardClosureParams):
+            params_text = keyset(params.extra)
+        elif isinstance(params, RefinementParams):
+            params_text = (
+                f"{attr_set(params.target)}->{attr_set(params.left)}|{attr_set(params.right)}"
+            )
+        else:
+            params_text = "; ".join(
+                "|".join(map(attr_set, combo)) + "->" + attr_set(chosen)
+                for combo, chosen in params.entries
+            )
         refs = ",".join(f"{kind}{idx}" for kind, idx in step.refs)
-        lines.append(
-            f"{i}: {step.rule} from {refs} with {_format_params(step.params, schema)}"
-            f" => {format_keyset(step.conclusion, schema)}"
-        )
-    lines.append(f"conclusion: {format_keyset(d.conclusion, schema)}")
+        lines.append(f"{i}: {step.rule} from {refs} with {params_text} => {keyset(step.conclusion)}")
+    lines.append(f"conclusion: {keyset(d.conclusion)}")
     return "\n".join(lines) + "\n"
+
+
+# A separator match, or a quoted name to skip; an unterminated quote runs to
+# the end of the text.
+_SEPARATORS = {
+    sep: re.compile(r'"' + _QUOTED_BODY + r'"?|(' + re.escape(sep) + ")", re.DOTALL)
+    for sep in ("->", "|", ";", " with ", " => ")
+}
 
 
 def _split_quoted(text: str, sep: str) -> list[str]:
     """Split on ``sep`` occurrences outside double-quoted names."""
+    if '"' not in text:
+        return text.split(sep)
     out: list[str] = []
-    buf: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == '"':
-            buf.append(ch)
-            i += 1
-            while i < n:
-                if text[i] == "\\" and i + 1 < n:
-                    buf.append(text[i : i + 2])
-                    i += 2
-                    continue
-                buf.append(text[i])
-                i += 1
-                if buf[-1] == '"':
-                    break
-            continue
-        if text.startswith(sep, i):
-            out.append("".join(buf))
-            buf = []
-            i += len(sep)
-            continue
-        buf.append(ch)
-        i += 1
-    out.append("".join(buf))
+    start = 0
+    for m in _SEPARATORS[sep].finditer(text):
+        if m.group(1):
+            out.append(text[start : m.start()])
+            start = m.end()
+    out.append(text[start:])
     return out
 
 
-_STEP_RE = re.compile(r"^(\d+)\s*:\s*(\w+)\s+from\s+(.*)$")
-_REF_RE = re.compile(r"^([ps])(\d+)$")
+# Numbers are capped at 18 digits, past any real index, because int()
+# refuses strings of more than 4300 digits with a bare ValueError.
+_STEP_RE = re.compile(r"^(\d{1,18})\s*:\s*(\w+)\s+from\s+(.*)$")
+_REF_RE = re.compile(r"^([ps])(\d{1,18})$")
+_PREMISE_RE = re.compile(r"^premise\s+(\d{1,18})\s*:\s*(.*)$")
 
 
-def _parse_params(rule: str, text: str, schema: Schema, lineno: int) -> StepParams:
+def _parse_params(
+    rule: str, text: str, schema: Schema, memo: dict[str, AttrSet], lineno: int
+) -> StepParams:
+    def attr_set(part: str) -> AttrSet:
+        return _parse_sets(part.strip(), schema, memo, keyset=False)
+
     text = text.strip()
     if rule == RULE_UPWARD:
-        return UpwardClosureParams(parse_keyset(text, schema))
+        return UpwardClosureParams(_parse_sets(text, schema, memo, keyset=True))
     if rule == RULE_REFINEMENT:
         halves = _split_quoted(text, "->")
         if len(halves) != 2:
@@ -567,11 +581,7 @@ def _parse_params(rule: str, text: str, schema: Schema, lineno: int) -> StepPara
         sides = _split_quoted(halves[1], "|")
         if len(sides) != 2:
             raise ParseError(f"line {lineno}: refinement split needs one '|'", lineno)
-        return RefinementParams(
-            parse_attr_set(halves[0].strip(), schema),
-            parse_attr_set(sides[0].strip(), schema),
-            parse_attr_set(sides[1].strip(), schema),
-        )
+        return RefinementParams(attr_set(halves[0]), attr_set(sides[0]), attr_set(sides[1]))
     if rule in (RULE_COMPOSITION, RULE_NARY):
         entries = []
         for part in _split_quoted(text, ";"):
@@ -581,10 +591,8 @@ def _parse_params(rule: str, text: str, schema: Schema, lineno: int) -> StepPara
             halves = _split_quoted(part, "->")
             if len(halves) != 2:
                 raise ParseError(f"line {lineno}: choice entry needs one '->'", lineno)
-            combo = tuple(
-                parse_attr_set(p.strip(), schema) for p in _split_quoted(halves[0], "|")
-            )
-            entries.append((combo, parse_attr_set(halves[1].strip(), schema)))
+            combo = tuple(map(attr_set, _split_quoted(halves[0], "|")))
+            entries.append((combo, attr_set(halves[1])))
         return CompositionParams(tuple(entries))
     raise ParseError(f"line {lineno}: unknown rule {rule!r}", lineno)
 
@@ -595,6 +603,7 @@ def parse_derivation(text: str) -> tuple[Derivation, Schema]:
     premises: list[KeySet] = []
     steps: list[DerivationStep] = []
     conclusion: KeySet | None = None
+    memo: dict[str, AttrSet] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -609,15 +618,15 @@ def parse_derivation(text: str) -> tuple[Derivation, Schema]:
         if schema is None:
             raise ParseError(f"line {lineno}: schema line must come first", lineno)
         if line.startswith("premise"):
-            m = re.match(r"^premise\s+(\d+)\s*:\s*(.*)$", line)
+            m = _PREMISE_RE.match(line)
             if not m or int(m.group(1)) != len(premises):
                 raise ParseError(f"line {lineno}: premises must be numbered in order", lineno)
             if steps:
                 raise ParseError(f"line {lineno}: premise after a step line", lineno)
-            premises.append(parse_keyset(m.group(2), schema))
+            premises.append(_parse_sets(m.group(2), schema, memo, keyset=True))
             continue
         if line.startswith("conclusion:"):
-            conclusion = parse_keyset(line[len("conclusion:") :].strip(), schema)
+            conclusion = _parse_sets(line[len("conclusion:") :].strip(), schema, memo, keyset=True)
             continue
         m = _STEP_RE.match(line)
         if not m:
@@ -640,8 +649,8 @@ def parse_derivation(text: str) -> tuple[Derivation, Schema]:
             if not rm:
                 raise ParseError(f"line {lineno}: bad reference {piece.strip()!r}", lineno)
             refs.append((rm.group(1), int(rm.group(2))))
-        params = _parse_params(rule, arrow_split[0], schema, lineno)
-        step_conclusion = parse_keyset(arrow_split[1].strip(), schema)
+        params = _parse_params(rule, arrow_split[0], schema, memo, lineno)
+        step_conclusion = _parse_sets(arrow_split[1].strip(), schema, memo, keyset=True)
         steps.append(DerivationStep(rule, tuple(refs), params, step_conclusion))
     if schema is None:
         raise ParseError("missing schema line", 0)

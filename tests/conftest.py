@@ -14,12 +14,36 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from keysets import BlockSet, KeySet, Relation, Row, Schema, satisfies
+from keysets import (
+    BlockSet,
+    KeySet,
+    ParseError,
+    Relation,
+    Row,
+    Schema,
+    format_attr_set,
+    format_keyset,
+    format_schema,
+    satisfies,
+)
+from keysets.core import _IDENT, _Parser
+from keysets.inference import (
+    RULE_COMPOSITION,
+    RULE_NARY,
+    RULE_REFINEMENT,
+    RULE_UPWARD,
+    CompositionParams,
+    Derivation,
+    DerivationStep,
+    RefinementParams,
+    UpwardClosureParams,
+)
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -327,3 +351,262 @@ def pytest_terminal_summary(terminalreporter):
         outcome, detail = _acceptance[name]
         suffix = f" ({detail})" if detail else ""
         terminalreporter.write_line(f"{name}: {outcome}{suffix}")
+
+
+# --------------------------------------------------------------------------
+# Reference text layer: the character-by-character tokenizer and
+# quote-aware splitter, the derivation parser built on them, and the
+# derivation formatter built on the per-set formatters, which the regex
+# scanners and per-call memos of the library replaced. The differential
+# tests require the library to write the same bytes, return the same
+# values and raise the same errors at the same positions.
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens: list[tuple[str, str, int]] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "{},":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch == '"':
+            start = i
+            i += 1
+            buf: list[str] = []
+            while i < n and text[i] != '"':
+                if text[i] == "\\":
+                    if i + 1 >= n:
+                        raise ParseError("unterminated escape", i)
+                    buf.append(text[i + 1])
+                    i += 2
+                else:
+                    buf.append(text[i])
+                    i += 1
+            if i >= n:
+                raise ParseError("unterminated quoted name", start)
+            i += 1
+            if not buf:
+                raise ParseError("empty quoted name", start)
+            tokens.append(("name", "".join(buf), start))
+            continue
+        m = _IDENT.match(text, i)
+        if m:
+            tokens.append(("name", m.group(), i))
+            i = m.end()
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def reference_parse_keyset(text: str, schema: Schema) -> KeySet:
+    p = _Parser(reference_tokenize(text), schema)
+    ks = p.keyset()
+    p.finish()
+    return ks
+
+
+def reference_parse_attr_set(text: str, schema: Schema) -> frozenset[int]:
+    p = _Parser(reference_tokenize(text), schema)
+    attrs = p.attr_set(allow_empty=True)
+    p.finish()
+    return attrs
+
+
+def reference_parse_schema(text: str) -> Schema:
+    """``parse_schema`` over the reference tokens; a repeated name is a
+    ``ParseError`` at its second occurrence."""
+    tokens = reference_tokenize(text)
+    pos = 0
+    names: list[str] = []
+    while True:
+        kind, value, at = tokens[pos]
+        if kind != "name":
+            raise ParseError("expected an attribute name", at)
+        if value in names:
+            raise ParseError(f"duplicate attribute name {value!r}", at)
+        names.append(value)
+        pos += 1
+        kind, _, at = tokens[pos]
+        if kind == "end":
+            break
+        if kind != ",":
+            raise ParseError("expected ',' between attribute names", at)
+        pos += 1
+    return Schema(tuple(names))
+
+
+def reference_split_quoted(text: str, sep: str) -> list[str]:
+    """Split on ``sep`` occurrences outside double-quoted names."""
+    out: list[str] = []
+    buf: list[str] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == '"':
+            buf.append(ch)
+            i += 1
+            while i < n:
+                if text[i] == "\\" and i + 1 < n:
+                    buf.append(text[i : i + 2])
+                    i += 2
+                    continue
+                buf.append(text[i])
+                i += 1
+                if buf[-1] == '"':
+                    break
+            continue
+        if text.startswith(sep, i):
+            out.append("".join(buf))
+            buf = []
+            i += len(sep)
+            continue
+        buf.append(ch)
+        i += 1
+    out.append("".join(buf))
+    return out
+
+
+_STEP_RE = re.compile(r"^(\d+)\s*:\s*(\w+)\s+from\s+(.*)$")
+_REF_RE = re.compile(r"^([ps])(\d+)$")
+
+
+def _reference_params(rule: str, text: str, schema: Schema, lineno: int):
+    text = text.strip()
+    if rule == RULE_UPWARD:
+        return UpwardClosureParams(reference_parse_keyset(text, schema))
+    if rule == RULE_REFINEMENT:
+        halves = reference_split_quoted(text, "->")
+        if len(halves) != 2:
+            raise ParseError(f"line {lineno}: refinement parameter needs one '->'", lineno)
+        sides = reference_split_quoted(halves[1], "|")
+        if len(sides) != 2:
+            raise ParseError(f"line {lineno}: refinement split needs one '|'", lineno)
+        return RefinementParams(
+            reference_parse_attr_set(halves[0].strip(), schema),
+            reference_parse_attr_set(sides[0].strip(), schema),
+            reference_parse_attr_set(sides[1].strip(), schema),
+        )
+    if rule in (RULE_COMPOSITION, RULE_NARY):
+        entries = []
+        for part in reference_split_quoted(text, ";"):
+            part = part.strip()
+            if not part:
+                continue
+            halves = reference_split_quoted(part, "->")
+            if len(halves) != 2:
+                raise ParseError(f"line {lineno}: choice entry needs one '->'", lineno)
+            combo = tuple(
+                reference_parse_attr_set(p.strip(), schema)
+                for p in reference_split_quoted(halves[0], "|")
+            )
+            entries.append((combo, reference_parse_attr_set(halves[1].strip(), schema)))
+        return CompositionParams(tuple(entries))
+    raise ParseError(f"line {lineno}: unknown rule {rule!r}", lineno)
+
+
+def reference_parse_derivation(text: str) -> tuple[Derivation, Schema]:
+    """Step, premise and reference numbers may have any length here; the
+    library caps them at 18 digits, so the two agree below 10**18."""
+    schema: Schema | None = None
+    premises: list[KeySet] = []
+    steps: list[DerivationStep] = []
+    conclusion: KeySet | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if conclusion is not None:
+            raise ParseError(f"line {lineno}: content after the conclusion line", lineno)
+        if line.startswith("schema:"):
+            if schema is not None:
+                raise ParseError(f"line {lineno}: duplicate schema line", lineno)
+            schema = reference_parse_schema(line[len("schema:") :].strip())
+            continue
+        if schema is None:
+            raise ParseError(f"line {lineno}: schema line must come first", lineno)
+        if line.startswith("premise"):
+            m = re.match(r"^premise\s+(\d+)\s*:\s*(.*)$", line)
+            if not m or int(m.group(1)) != len(premises):
+                raise ParseError(f"line {lineno}: premises must be numbered in order", lineno)
+            if steps:
+                raise ParseError(f"line {lineno}: premise after a step line", lineno)
+            premises.append(reference_parse_keyset(m.group(2), schema))
+            continue
+        if line.startswith("conclusion:"):
+            conclusion = reference_parse_keyset(line[len("conclusion:") :].strip(), schema)
+            continue
+        m = _STEP_RE.match(line)
+        if not m:
+            raise ParseError(f"line {lineno}: unrecognized line", lineno)
+        if int(m.group(1)) != len(steps):
+            raise ParseError(f"line {lineno}: steps must be numbered in order", lineno)
+        rule = m.group(2)
+        rest = m.group(3)
+        with_split = reference_split_quoted(rest, " with ")
+        if len(with_split) < 2:
+            raise ParseError(f"line {lineno}: step line is missing ' with '", lineno)
+        refs_text = with_split[0]
+        tail = " with ".join(with_split[1:])
+        arrow_split = reference_split_quoted(tail, " => ")
+        if len(arrow_split) != 2:
+            raise ParseError(f"line {lineno}: step line needs exactly one ' => '", lineno)
+        refs = []
+        for piece in refs_text.split(","):
+            rm = _REF_RE.match(piece.strip())
+            if not rm:
+                raise ParseError(f"line {lineno}: bad reference {piece.strip()!r}", lineno)
+            refs.append((rm.group(1), int(rm.group(2))))
+        params = _reference_params(rule, arrow_split[0], schema, lineno)
+        step_conclusion = reference_parse_keyset(arrow_split[1].strip(), schema)
+        steps.append(DerivationStep(rule, tuple(refs), params, step_conclusion))
+    if schema is None:
+        raise ParseError("missing schema line", 0)
+    if conclusion is None:
+        raise ParseError("missing conclusion line", 0)
+    return Derivation(tuple(premises), tuple(steps), conclusion), schema
+
+
+def reference_format_derivation(d: Derivation, schema: Schema) -> str:
+    def params_text(params) -> str:
+        if isinstance(params, UpwardClosureParams):
+            return format_keyset(params.extra, schema)
+        if isinstance(params, RefinementParams):
+            return (
+                format_attr_set(params.target, schema)
+                + "->"
+                + format_attr_set(params.left, schema)
+                + "|"
+                + format_attr_set(params.right, schema)
+            )
+        entries = []
+        for combo, chosen in params.entries:
+            lhs = "|".join(format_attr_set(k, schema) for k in combo)
+            entries.append(f"{lhs}->{format_attr_set(chosen, schema)}")
+        return "; ".join(entries)
+
+    lines = ["schema: " + format_schema(schema)]
+    for i, premise in enumerate(d.premises):
+        lines.append(f"premise {i}: {format_keyset(premise, schema)}")
+    for i, step in enumerate(d.steps):
+        refs = ",".join(f"{kind}{idx}" for kind, idx in step.refs)
+        lines.append(
+            f"{i}: {step.rule} from {refs} with {params_text(step.params)}"
+            f" => {format_keyset(step.conclusion, schema)}"
+        )
+    lines.append(f"conclusion: {format_keyset(d.conclusion, schema)}")
+    return "\n".join(lines) + "\n"
+
+
+def outcome(parse, *args):
+    """A parser's value, or the message and position of the
+    ``ParseError`` it raised; any other exception propagates."""
+    try:
+        return ("ok", parse(*args))
+    except ParseError as exc:
+        return ("error", str(exc), exc.position)

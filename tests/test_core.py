@@ -299,6 +299,9 @@ def test_parse_schema_errors():
         parse_schema("room name")
     with pytest.raises(ParseError, match="expected an attribute name"):
         parse_schema("")
+    with pytest.raises(ParseError, match="duplicate attribute name 'a'") as err:
+        parse_schema('a,b,"a"')
+    assert err.value.position == 4
 
 
 # --------------------------------------------------------------------------

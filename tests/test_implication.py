@@ -21,6 +21,7 @@ from keysets import (
     CnfFormula,
     ImplicationInstance,
     KeySet,
+    ParseError,
     Schema,
     build_counterexample,
     from_3sat,
@@ -262,11 +263,34 @@ def test_parse_dimacs_duplicate_literals_collapse():
         ("p cnf 2 1\n1 2\n", "not terminated by 0"),
         ("", "missing problem line"),
         ("c only a comment\n", "missing problem line"),
+        ("p cnf x 3\n1 0\n", "malformed problem line"),
+        ("p cnf -2 1\n1 0\n", "malformed problem line"),
+        ("p cnf 2 -1\n1 0\n", "malformed problem line"),
+        ("q cnf 2 1\n1 0\n", "clause data before the problem line"),
+        ("pcnf 2 1\n1 0\n", "malformed problem line"),
+        ("p cnf 2 1\n1 a 0\n", "literal 'a' is not an integer"),
+        ("p cnf 2 1\n1 2.0 0\n", "literal '2.0' is not an integer"),
     ],
 )
 def test_parse_dimacs_errors(text, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ParseError, match=message):
         parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("c header\np cnf x 3\n", 2),
+        ("p cnf 2 1\n\n1 a 0\n", 3),
+        ("p cnf 2 1\n1 0\n3 0\n", 3),
+        ("p cnf 2 1\n1 2\n", 2),
+        ("p cnf 2 1\n1 -2\nc trailing comment\n", 3),
+    ],
+)
+def test_parse_dimacs_errors_name_the_line(text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: ") as err:
+        parse_dimacs(text)
+    assert err.value.position == line
 
 
 def test_cnf_validation():

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from keysets import (
+    ChoiceProductTooLarge,
     Derivation,
     DerivationStep,
     ImplicationInstance,
@@ -35,6 +36,7 @@ from keysets import (
     parse_derivation,
     simulate_nary,
 )
+from keysets.implication import DEFAULT_CHOICE_CAP
 from keysets.inference import (
     RULE_COMPOSITION,
     RULE_NARY,
@@ -326,6 +328,25 @@ def test_derive_rejects_empty_premises(x1):
         derive_keyset((), x1)
 
 
+def test_derive_choice_product_cap():
+    # three premises of two keys each: a product of 8 tuples
+    family = (KeySet.of(A, B), KeySet.of(A, C), KeySet.of(A, D))
+    goal = KeySet.of(A, B | C | D)
+    with pytest.raises(ChoiceProductTooLarge) as err:
+        derive_keyset(family, goal, max_choices=7)
+    assert (err.value.size, err.value.cap) == (8, 7)
+    assert check_derivation(derive_keyset(family, goal, max_choices=8))
+
+
+def test_derive_cap_fails_before_enumerating():
+    # the goal is refuted by the first key tuple, so only a check made
+    # before enumerating can raise the cap error
+    family = tuple(KeySet.of({2 * i}, {2 * i + 1}) for i in range(40))
+    with pytest.raises(ChoiceProductTooLarge) as err:
+        derive_keyset(family, KeySet.of(frozenset(range(80))))
+    assert (err.value.size, err.value.cap) == (2**40, DEFAULT_CHOICE_CAP)
+
+
 def test_derivation_shape_is_nary_refinements_upward():
     rng = random.Random(20240819)
     schema = Schema.of(*"abcd")
@@ -462,6 +483,7 @@ conclusion: {{room,name,time},{injury,time}}
         ("schema: a\n0: Composition from p0,p1 with {a} => {{a}}\nconclusion: {{a}}\n", "needs one '->'"),
         ("schema: a\npremise 0: {{a}}\n", "missing conclusion line"),
         ("# nothing\n", "missing schema line"),
+        ("schema: a,a\nconclusion: {{a}}\n", "duplicate attribute name 'a'"),
     ],
 )
 def test_parse_derivation_errors(text, message):
