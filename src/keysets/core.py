@@ -268,10 +268,14 @@ def pair_violates(t: Row, t2: Row, ks: KeySet) -> bool:
 
 
 class ParseError(ValueError):
-    """Syntax or name error in key-set text, with a character position."""
+    """Syntax or name error in key-set text, with a character position.
+
+    ``message`` is the text without the position suffix.
+    """
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -436,7 +440,7 @@ def parse_keyset_lines(text: str, schema: Schema) -> KeySetFamily:
         try:
             out.append(_parse_sets(line, schema, memo, keyset=True))
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.args[0]}", exc.position) from None
+            raise ParseError(f"line {lineno}: {exc.message}", exc.position) from None
     return tuple(out)
 
 

@@ -8,6 +8,14 @@ chosen keys; the choice is fine iff some chosen key is contained in the
 union of that collection. If every choice is fine, ``phi`` is implied.
 A failing choice yields a two-row counterexample relation directly.
 
+``implies`` picks keys depth first, one member of ``sigma`` at a time,
+and skips every completion of a prefix that is already fine: the chosen
+keys and the keys of ``phi`` inside their union only grow as keys are
+added. The search keeps the canonical order, so its witness is the
+canonically smallest failing choice, and the cap still applies to the
+size of the whole choice product. The problem is coNP-complete, so the
+search stays exponential in the worst case.
+
 An empty ``sigma`` implies nothing: two identical total rows satisfy
 every member of the empty family and violate any key set.
 
@@ -32,6 +40,7 @@ __all__ = [
     "CnfFormula",
     "CounterexampleWitness",
     "DEFAULT_CHOICE_CAP",
+    "DIMACS_VARIABLE_CAP",
     "Decision",
     "ImplicationInstance",
     "build_counterexample",
@@ -44,6 +53,7 @@ __all__ = [
 ]
 
 DEFAULT_CHOICE_CAP = 10**6
+DIMACS_VARIABLE_CAP = 10**5
 
 
 class ChoiceProductTooLarge(RuntimeError):
@@ -115,24 +125,72 @@ def build_counterexample(choice: Sequence[AttrSet], inst: ImplicationInstance) -
 def implies(inst: ImplicationInstance, *, max_choices: int = DEFAULT_CHOICE_CAP) -> Decision:
     """Decide whether ``sigma`` implies ``phi``; witness a non-implication.
 
-    Runs through key choices in canonical order, so a returned witness is
-    the canonically smallest failing choice. Raises
-    :class:`ChoiceProductTooLarge` when the product of the member sizes
-    exceeds ``max_choices``.
+    Searches key choices depth first in canonical order and skips every
+    completion of a prefix that is already fine, so a returned witness is
+    the canonically smallest failing choice, as a walk over the whole
+    product would find. Raises :class:`ChoiceProductTooLarge` when the
+    product of the member sizes exceeds ``max_choices``, however few
+    choices the search would visit.
     """
     if not inst.sigma:
         return Decision(False, CounterexampleWitness((), build_counterexample((), inst)))
     size = prod(len(ks) for ks in inst.sigma)
     if size > max_choices:
         raise ChoiceProductTooLarge(size, max_choices)
-    phi_keys = inst.phi.sorted_keys
-    for choice in itertools.product(*(ks.sorted_keys for ks in inst.sigma)):
-        union = frozenset().union(*choice)
-        covered = frozenset().union(*(y for y in phi_keys if y <= union))
-        if not any(x <= covered for x in choice):
-            witness = CounterexampleWitness(choice, build_counterexample(choice, inst))
-            return Decision(False, witness)
-    return Decision(True, None)
+    picks, _ = _search(inst)
+    if picks is None:
+        return Decision(True, None)
+    choice = tuple(ks.sorted_keys[i] for ks, i in zip(inst.sigma, picks))
+    return Decision(False, CounterexampleWitness(choice, build_counterexample(choice, inst)))
+
+
+def _mask(attrs: AttrSet) -> int:
+    return sum(1 << a for a in attrs)
+
+
+def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
+    """The first failing choice, as one key index per member of a
+    non-empty ``sigma``, or ``None``; and the number of nodes visited.
+
+    A node picks the next member's key after a prefix. The prefix is fine,
+    and its subtree skipped, once one of its keys lies inside
+    ``covered(union)``, the union of the keys of ``phi`` inside the
+    prefix's union: both only grow as keys are added. Attribute sets are
+    int bitmasks. While ``covered`` stays as it was at the parent, only
+    the new key needs the test.
+    """
+    phi = [_mask(y) for y in inst.phi.sorted_keys]
+    members = [[_mask(x) for x in ks.sorted_keys] for ks in inst.sigma]
+    depth = len(members)
+    picks = [-1] * depth
+    chosen = [0] * depth
+    unions = [0] * (depth + 1)
+    covers = [0] * (depth + 1)
+    nodes = 0
+    d = 0
+    while d >= 0:
+        picks[d] += 1
+        if picks[d] == len(members[d]):
+            picks[d] = -1
+            d -= 1
+            continue
+        nodes += 1
+        x = chosen[d] = members[d][picks[d]]
+        union = unions[d] | x
+        covered = covers[d]
+        for y in phi:
+            if y & union == y:
+                covered |= y
+        if x & covered == x:
+            continue
+        if covered != covers[d] and any(c & covered == c for c in chosen[:d]):
+            continue
+        if d + 1 == depth:
+            return tuple(picks), nodes
+        unions[d + 1] = union
+        covers[d + 1] = covered
+        d += 1
+    return None, nodes
 
 
 def implies_unary(sigma: Sequence[KeySet], phi: KeySet) -> bool:
@@ -211,7 +269,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF; variables are named x1..xV.
 
     Clauses longer than three literals are rejected, as is a clause with
-    no literals or a missing terminating 0. Every error is a
+    no literals or a missing terminating 0. A problem line may declare at
+    most :data:`DIMACS_VARIABLE_CAP` variables, because one name is built
+    per declared variable. Every error is a
     :class:`ParseError` that names the line; errors found at the end of
     the input name its last line.
     """
@@ -235,6 +295,8 @@ def parse_dimacs(text: str) -> CnfFormula:
                 counts = []
             if parts[:2] != ["p", "cnf"] or len(counts) != 2 or min(counts) < 0:
                 raise fail(f"malformed problem line: {raw!r}")
+            if counts[0] > DIMACS_VARIABLE_CAP:
+                raise fail(f"declares {counts[0]} variables, cap is {DIMACS_VARIABLE_CAP}")
             num_vars = counts[0]
             continue
         if num_vars is None:

@@ -22,11 +22,14 @@ from hypothesis import strategies as st
 
 from keysets import (
     BlockSet,
+    CounterexampleWitness,
+    Decision,
     KeySet,
     ParseError,
     Relation,
     Row,
     Schema,
+    build_counterexample,
     format_attr_set,
     format_keyset,
     format_schema,
@@ -268,6 +271,25 @@ def reference_block_trace(relation: Relation, ks: KeySet) -> list[BlockSet]:
             blocks = reference_split(blocks, tuple(sorted(key)))
         trace.append(BlockSet(tuple(frozenset(r.row_id for r in b) for b in blocks)))
     return trace
+
+
+# --------------------------------------------------------------------------
+# Reference implication decider: the walk over the whole key-choice
+# product, with frozenset unions, that the pruned search replaced.
+
+
+def reference_implies(inst) -> Decision:
+    """The first failing choice in ``itertools.product`` order, or implied."""
+    if not inst.sigma:
+        return Decision(False, CounterexampleWitness((), build_counterexample((), inst)))
+    phi_keys = inst.phi.sorted_keys
+    for choice in itertools.product(*(ks.sorted_keys for ks in inst.sigma)):
+        union = frozenset().union(*choice)
+        covered = frozenset().union(*(y for y in phi_keys if y <= union))
+        if not any(x <= covered for x in choice):
+            witness = CounterexampleWitness(choice, build_counterexample(choice, inst))
+            return Decision(False, witness)
+    return Decision(True, None)
 
 
 # --------------------------------------------------------------------------

@@ -259,6 +259,13 @@ def test_parse_keyset_lines_reports_line(ward_schema):
         parse_keyset_lines("{{room}}\n\n{{bogus}}\n", ward_schema)
 
 
+def test_parse_keyset_lines_states_the_position_once():
+    with pytest.raises(ParseError) as err:
+        parse_keyset_lines("{{a}}\n{{b}}", Schema.of("a"))
+    assert str(err.value) == "line 2: unknown attribute 'b' (at position 2)"
+    assert err.value.position == 2
+
+
 # --------------------------------------------------------------------------
 # Grammar: formatting.
 

@@ -2,7 +2,9 @@
 
 Three routes must agree: the key-choice decider, the unary-fragment
 shortcut, and a brute-force oracle that enumerates every behaviorally
-distinct two-row relation. Witnesses are never trusted: each one is
+distinct two-row relation. The decider's pruned search must also return
+exactly the decision, witness included, of a walk over the whole
+key-choice product. Witnesses are never trusted: each one is
 re-validated against the satisfaction semantics.
 
 The 3-CNF reduction is checked against truth-table satisfiability, the
@@ -10,12 +12,13 @@ one tool here that shares no code with the decider.
 """
 
 import random
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pair_state, random_family, random_keyset, witness_refutes
+from conftest import keysets_st, pair_state, random_family, random_keyset, reference_implies, witness_refutes
 from keysets import (
     ChoiceProductTooLarge,
     CnfFormula,
@@ -32,6 +35,7 @@ from keysets import (
     satisfiable,
     satisfies,
 )
+from keysets.implication import DIMACS_VARIABLE_CAP, _search
 
 # --------------------------------------------------------------------------
 # The running example: {x1, x2} implies x but not phi_prime.
@@ -189,6 +193,70 @@ def test_decider_matches_bruteforce_on_random_instances():
     assert 0 < agree < 300  # the sample exercises both outcomes
 
 
+@st.composite
+def families_st(draw) -> ImplicationInstance:
+    width = draw(st.integers(1, 8))
+    schema = Schema(tuple(f"c{i}" for i in range(width)))
+    sigma = draw(st.lists(keysets_st(width, max_keys=4), max_size=4))
+    return ImplicationInstance(schema, tuple(sigma), draw(keysets_st(width, max_keys=4)))
+
+
+@st.composite
+def cnf_instances_st(draw) -> ImplicationInstance:
+    variables = tuple(f"x{i}" for i in range(1, draw(st.integers(1, 6)) + 1))
+    literals = st.tuples(st.sampled_from(variables), st.booleans())
+    clauses = draw(st.lists(st.frozensets(literals, min_size=1, max_size=3), min_size=1, max_size=4 * len(variables)))
+    return from_3sat(CnfFormula(variables, tuple(clauses)))
+
+
+@settings(max_examples=150)
+@given(families_st() | cnf_instances_st())
+def test_search_matches_product_walk(inst):
+    decision = implies(inst)
+    assert decision == reference_implies(inst)
+    if len(inst.schema) <= 8:
+        assert decision.implied == implies_bruteforce(inst)
+
+
+def test_search_does_not_recurse():
+    width = 5000
+    schema = Schema(tuple(f"c{i}" for i in range(width + 1)))
+    sigma = tuple(KeySet.of({a}) for a in range(width))
+    # phi is covered only once the last key is chosen, so the search
+    # reaches full depth before it prunes
+    inst = ImplicationInstance(schema, sigma, KeySet.of(set(range(width))))
+    assert implies(inst).implied
+    assert _search(inst) == (None, width)
+    refuted = ImplicationInstance(schema, sigma, KeySet.of({width}))
+    assert implies(refuted) == reference_implies(refuted)
+    assert _search(refuted) == ((0,) * width, width)
+
+
+UNSAT_15 = """\
+p cnf 15 75
+15 -1 12 0 -14 11 13 0 11 -5 -4 0 -12 4 14 0 7 -2 -9 0 -10 7 -13 0 -1 -3 15 0 8 14 2 0
+-13 9 -7 0 -6 4 -5 0 -6 -7 2 0 -2 -8 -6 0 -5 1 14 0 8 -15 -1 0 -7 12 9 0 1 5 -10 0
+-11 -9 -5 0 14 1 -11 0 3 -4 -15 0 5 10 11 0 -13 -11 2 0 -14 -2 6 0 14 -6 12 0 -10 -13 9 0
+4 -9 8 0 3 -11 -12 0 10 7 -5 0 -1 14 -11 0 -4 -11 -12 0 4 3 13 0 -14 6 9 0 8 -9 -7 0
+4 -15 1 0 11 15 10 0 -7 12 -6 0 12 3 -15 0 9 -8 -4 0 -10 11 5 0 14 -2 -11 0 3 -10 -4 0
+10 -12 -6 0 11 -8 -10 0 -12 5 -6 0 2 -4 11 0 11 4 -8 0 -15 -3 -8 0 -8 -12 11 0 12 -4 -6 0
+-9 -5 6 0 -1 -13 14 0 1 -14 7 0 6 10 13 0 13 -2 -3 0 15 -1 -8 0 8 -11 -6 0 -15 14 13 0
+-12 3 -14 0 12 13 -2 0 4 -7 -12 0 -6 -14 -11 0 3 14 15 0 2 9 -7 0 -3 -10 13 0 -2 6 -3 0
+-11 -7 15 0 -4 -11 -7 0 13 -6 2 0 2 15 4 0 -11 -7 -1 0 3 -15 -8 0 -7 9 -15 0 12 1 8 0
+13 10 4 0 -9 8 -7 0 -4 6 -10 0
+"""
+
+
+def test_search_work_count_on_unsatisfiable_formula():
+    inst = from_3sat(parse_dimacs(UNSAT_15))
+    assert len(inst.sigma) == 15
+    picks, nodes = _search(inst)
+    assert picks is None
+    # the product has 2**15 = 32,768 choices; the search visits 1,580 nodes
+    assert nodes == 1580
+    assert implies(inst).implied
+
+
 def test_bruteforce_cap():
     schema = Schema(tuple(f"c{i}" for i in range(13)))
     inst = ImplicationInstance(schema, (KeySet.of({0}),), KeySet.of({0}))
@@ -291,6 +359,15 @@ def test_parse_dimacs_errors_name_the_line(text, line):
     with pytest.raises(ParseError, match=f"^line {line}: ") as err:
         parse_dimacs(text)
     assert err.value.position == line
+
+
+def test_parse_dimacs_variable_cap():
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match=f"^line 1: declares 2000000 variables, cap is {DIMACS_VARIABLE_CAP}"):
+        parse_dimacs("p cnf 2000000 0\n")
+    assert time.perf_counter() - started < 0.05
+    formula = parse_dimacs(f"p cnf {DIMACS_VARIABLE_CAP} 1\n{DIMACS_VARIABLE_CAP} 0\n")
+    assert len(formula.variables) == DIMACS_VARIABLE_CAP
 
 
 def test_cnf_validation():

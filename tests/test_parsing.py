@@ -160,7 +160,7 @@ def _reference_keyset_lines(text: str, schema: Schema):
         try:
             out.append(reference_parse_keyset(line, schema))
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.args[0]}", exc.position) from None
+            raise ParseError(f"line {lineno}: {exc.message}", exc.position) from None
     return tuple(out)
 
 
