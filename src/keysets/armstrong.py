@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import AttrSet, KeySet, Relation, Schema, attr_sort_key
 
 __all__ = [
@@ -119,32 +121,25 @@ def generate_armstrong(sigma: Sequence[KeySet], schema: Schema) -> Relation:
     return Relation.from_values(schema, rows)
 
 
-def _agreement(a: tuple[str | None, ...], b: tuple[str | None, ...]) -> frozenset[int]:
-    return frozenset(
-        i for i, (x, y) in enumerate(zip(a, b)) if x is not None and y is not None and x == y
-    )
-
-
 def is_armstrong_unary(relation: Relation, sigma: Sequence[KeySet], *, max_attrs: int = 20) -> bool:
     """Check the two Armstrong conditions against ``sigma``:
 
     every anti-key is the exact agreement set of some row pair, and no row
-    pair agrees on all attributes of any member's union. Pair scan plus
-    anti-key enumeration, hence the schema-size cap.
+    pair agrees on all attributes of any member's union. Pair scan on the
+    relation's codes plus anti-key enumeration, hence the schema-size cap.
     """
     if len(relation.schema) > max_attrs:
         raise ValueError(f"schema has {len(relation.schema)} attributes, cap is {max_attrs}")
     report = anti_keys(sigma, relation.schema)
     unions = {ks.attributes for ks in sigma}
-    agreements: set[frozenset[int]] = set()
-    rows = relation.rows
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            agree = _agreement(rows[i].values, rows[j].values)
-            if any(u <= agree for u in unions):
-                return False
-            agreements.add(agree)
-    return all(anti in agreements for anti in report.anti_keys)
+    codes = relation.codes
+    patterns: set[bytes] = set()
+    for i in range(len(codes) - 1):
+        # row i's agreement with each later row: equal codes, both present
+        patterns.update(map(bytes, (codes[i + 1 :] == codes[i]) & (codes[i] >= 0)))
+    agreements = {frozenset(np.flatnonzero(np.frombuffer(p, dtype=bool)).tolist()) for p in patterns}
+    safe = not any(u <= agree for u in unions for agree in agreements)
+    return safe and all(anti in agreements for anti in report.anti_keys)
 
 
 def size_bounds(num_anti_keys: int) -> tuple[int, int]:

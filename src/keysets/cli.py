@@ -14,7 +14,6 @@ The implication choice-product cap can be overridden with the
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -32,6 +31,7 @@ from .bench import (
     run_bench,
 )
 from .core import (
+    KeySet,
     ParseError,
     Schema,
     format_attr_set,
@@ -51,7 +51,7 @@ from .implication import (
     parse_dimacs,
 )
 from .inference import first_invalid_step, parse_derivation
-from .ingest import IngestConfig, IngestError, load_csv, schema_from_header, write_csv
+from .ingest import IngestConfig, IngestError, load_csv, read_schema, write_csv
 from .validation import violating_blocks, violating_tuples_naive
 
 __all__ = ["main", "run_cli"]
@@ -64,14 +64,12 @@ EXIT_CAP = 3
 
 def _resolve_schema(spec: str) -> Schema:
     """Inline comma list, or the header of an existing CSV file."""
-    path = Path(spec)
-    if path.exists():
-        with open(path, newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-        if header is None:
-            raise IngestError(f"{spec}: empty csv input")
-        return schema_from_header(header)
-    return parse_schema(spec)
+    if not Path(spec).exists():
+        return parse_schema(spec)
+    try:
+        return read_schema(spec)
+    except IngestError as exc:
+        raise IngestError(f"{spec}: {exc}") from None
 
 
 def _read_keyset_family(path: str, schema: Schema):
@@ -213,19 +211,20 @@ def _cmd_antikeys(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _generated_keysets(args: argparse.Namespace, schema: Schema) -> tuple[KeySet, ...]:
+    """The key sets that ``--mode``, ``--param``, ``--seed`` and ``--count`` ask for."""
+    if args.mode == "sequential":
+        if args.param is None:
+            return gen_sequential_keysets(schema)
+        return keysets_from_spec(schema, GeneratorSpec("sequential", args.param))
+    if args.param is None:
+        raise IngestError("--param (random key size m) is required for random mode")
+    return keysets_from_spec(schema, GeneratorSpec("random", args.param, args.seed), count=args.count)
+
+
 def _cmd_gen_keysets(args: argparse.Namespace) -> int:
     schema = _resolve_schema(args.schema)
-    if args.mode == "sequential":
-        family = gen_sequential_keysets(schema)
-        if args.param is not None:
-            family = keysets_from_spec(schema, GeneratorSpec("sequential", args.param))
-    else:
-        if args.param is None:
-            raise IngestError("--param (random key size m) is required for random mode")
-        family = keysets_from_spec(
-            schema, GeneratorSpec("random", args.param, args.seed), count=args.count
-        )
-    for ks in family:
+    for ks in _generated_keysets(args, schema):
         print(format_keyset(ks, schema))
     return EXIT_OK
 
@@ -242,18 +241,7 @@ def _cmd_from_3sat(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     relation = load_csv(args.data, _ingest_config(args))
-    schema = relation.schema
-    if args.mode == "sequential":
-        if args.param is None:
-            keysets = gen_sequential_keysets(schema)
-        else:
-            keysets = keysets_from_spec(schema, GeneratorSpec("sequential", args.param))
-    else:
-        if args.param is None:
-            raise IngestError("--param (random key size m) is required for random mode")
-        keysets = keysets_from_spec(
-            schema, GeneratorSpec("random", args.param, args.seed), count=args.count
-        )
+    keysets = _generated_keysets(args, relation.schema)
     algos = ("naive", "linear") if args.algo == "both" else (args.algo,)
     reports = []
     for algo in algos:

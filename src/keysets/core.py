@@ -19,6 +19,7 @@ stable and diffable.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -38,7 +39,6 @@ __all__ = [
     "format_attr_set",
     "format_keyset",
     "format_schema",
-    "is_x_total",
     "pair_separated_by",
     "pair_violates",
     "parse_attr_set",
@@ -154,13 +154,10 @@ KeySetFamily = tuple[KeySet, ...]
 
 @dataclass(frozen=True)
 class Row:
-    """One tuple of a relation. ``None`` stands for a missing value."""
+    """One tuple of a relation, as :attr:`Relation.rows` decodes it; ``None`` is missing."""
 
     row_id: int
     values: tuple[str | None, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
 
     def is_total(self, attrs: AttrSet) -> bool:
         return all(self.values[a] is not None for a in attrs)
@@ -169,25 +166,21 @@ class Row:
         return tuple(self.values[a] for a in sorted(attrs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Relation:
-    """A bag of rows over a schema; row ids make duplicates distinct."""
+    """A bag of rows over a schema, stored column-encoded.
+
+    ``codes`` is a read-only int32 ``(rows, width)`` matrix: each column's
+    distinct strings get dense codes ``0, 1, ...`` in order of first
+    appearance, listed in ``dictionaries[column]``, and a missing value is
+    ``-1``. ``row_ids`` (read-only) makes duplicate rows distinct. Build
+    relations with :meth:`from_values`, the one encoder.
+    """
 
     schema: Schema
-    rows: tuple[Row, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        width = len(self.schema)
-        seen: set[int] = set()
-        for row in self.rows:
-            if len(row.values) != width:
-                raise ValueError(
-                    f"row {row.row_id} has {len(row.values)} cells, schema has {width}"
-                )
-            if row.row_id in seen:
-                raise ValueError(f"duplicate row id {row.row_id}")
-            seen.add(row.row_id)
+    codes: np.ndarray
+    dictionaries: tuple[tuple[str, ...], ...]
+    row_ids: np.ndarray
 
     @classmethod
     def from_values(
@@ -196,41 +189,49 @@ class Relation:
         values: Iterable[Sequence[str | None]],
         row_ids: Sequence[int] | None = None,
     ) -> "Relation":
-        rows_in = [tuple(v) for v in values]
-        if row_ids is None:
-            row_ids = range(len(rows_in))
-        return cls(schema, tuple(Row(i, v) for i, v in zip(row_ids, rows_in, strict=True)))
+        rows = list(values)
+        ids = list(range(len(rows)) if row_ids is None else row_ids)
+        width = len(schema)
+        if len(ids) != len(rows) or set(map(len, rows)) - {width}:
+            # a strict zip raises on a row-id count that does not match
+            row_id, row = next((i, r) for i, r in zip(ids, rows, strict=True) if len(r) != width)
+            raise ValueError(f"row {row_id} has {len(row)} cells, schema has {width}")
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"duplicate row id {next(i for i, c in Counter(ids).items() if c > 1)}")
+        columns, dictionaries = [], []
+        for column in zip(*rows) if rows else [()] * width:
+            distinct = dict.fromkeys(column)
+            distinct.pop(None, None)
+            dictionaries.append(tuple(distinct))
+            code = dict(zip(distinct, range(len(distinct)))) | {None: -1}
+            columns.append(list(map(code.__getitem__, column)))
+        codes = np.array(columns, dtype=np.int32).T.copy()
+        ids_array = np.array(ids, dtype=np.int64)
+        codes.flags.writeable = ids_array.flags.writeable = False
+        return cls(schema, codes, tuple(dictionaries), ids_array)
+
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """The rows, decoded from ``codes`` on first use; code -1 picks the trailing None."""
+        columns = [map((*d, None).__getitem__, c) for d, c in zip(self.dictionaries, self.codes.T.tolist())]
+        return tuple(map(Row, self.row_ids.tolist(), zip(*columns)))
 
     @cached_property
     def by_id(self) -> dict[int, Row]:
         return {row.row_id: row for row in self.rows}
 
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """Read-only int32 ``(rows, width)`` matrix of per-column value codes.
+    def _key(self) -> tuple:
+        # codes follow first appearance, so equal keys mean equal rows
+        return (self.schema, self.dictionaries, self.row_ids.tobytes(), self.codes.tobytes())
 
-        Each column's distinct strings get dense codes ``0, 1, ...`` in
-        order of first appearance; a missing value is ``-1``. Built on
-        first access and kept for the life of the relation.
-        """
-        codes = np.empty((len(self.rows), len(self.schema)), dtype=np.int32)
-        columns = zip(*(row.values for row in self.rows)) if self.rows else ()
-        for j, column in enumerate(columns):
-            distinct = dict.fromkeys(column)
-            distinct.pop(None, None)
-            lookup = {v: i for i, v in enumerate(distinct)}
-            lookup[None] = -1
-            codes[:, j] = np.fromiter(map(lookup.__getitem__, column), dtype=np.int32, count=len(column))
-        codes.flags.writeable = False
-        return codes
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Relation) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __len__(self) -> int:
-        return len(self.rows)
-
-
-def is_x_total(row: Row, attrs: AttrSet) -> bool:
-    """True iff the row has no missing value on any attribute of ``attrs``."""
-    return row.is_total(attrs)
+        return len(self.row_ids)
 
 
 def pair_separated_by(t: Row, t2: Row, attrs: AttrSet) -> bool:
@@ -277,6 +278,9 @@ class ParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.message = message
         self.position = position
+
+    def __reduce__(self):
+        return type(self), (self.message, self.position)
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -212,20 +212,23 @@ def implies_bruteforce(inst: ImplicationInstance, *, max_attrs: int = 12) -> boo
     Per attribute a row pair is either equal and total, unequal and total,
     or not both total; nothing else matters for key sets. ``sigma``
     implies ``phi`` iff no pattern satisfies all of ``sigma`` while
-    violating ``phi``. Exponential in the schema size, hence the cap.
+    violating ``phi``. An attribute that no key mentions cannot change the
+    outcome, so only the mentioned ones are enumerated. Exponential in
+    their number; the cap bounds the schema size, which bounds it.
     """
     n = len(inst.schema)
     if n > max_attrs:
         raise ValueError(f"schema has {n} attributes, brute-force cap is {max_attrs}")
     sigma_keys = [ks.sorted_keys for ks in inst.sigma]
     phi_keys = inst.phi.sorted_keys
+    attrs = sorted(inst.phi.attributes.union(*(ks.attributes for ks in inst.sigma)))
 
     def separated(keys: tuple[AttrSet, ...], total: frozenset[int], neq: frozenset[int]) -> bool:
         return any(x <= total and not x.isdisjoint(neq) for x in keys)
 
-    for states in itertools.product((0, 1, 2), repeat=n):
-        total = frozenset(a for a, s in enumerate(states) if s != 2)
-        neq = frozenset(a for a, s in enumerate(states) if s == 1)
+    for states in itertools.product((0, 1, 2), repeat=len(attrs)):
+        total = frozenset(a for a, s in zip(attrs, states) if s != 2)
+        neq = frozenset(a for a, s in zip(attrs, states) if s == 1)
         if separated(phi_keys, total, neq):
             continue
         if all(separated(keys, total, neq) for keys in sigma_keys):

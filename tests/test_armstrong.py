@@ -177,13 +177,15 @@ def test_generate_armstrong_single_attribute():
 
 def test_is_armstrong_detects_missing_agreement(ward_schema, x1, x2):
     rel = generate_armstrong((x1, x2), ward_schema)
-    truncated = Relation(rel.schema, rel.rows[:-1])
+    kept = rel.rows[:-1]
+    truncated = Relation.from_values(rel.schema, [r.values for r in kept], row_ids=[r.row_id for r in kept])
     assert not is_armstrong_unary(truncated, (x1, x2))
 
 
 def test_is_armstrong_detects_union_agreement(ward_schema, x1, x2):
     rel = generate_armstrong((x1, x2), ward_schema)
-    doubled = Relation(rel.schema, rel.rows + (Row(99, rel.rows[0].values),))
+    rows = rel.rows + (Row(99, rel.rows[0].values),)
+    doubled = Relation.from_values(rel.schema, [r.values for r in rows], row_ids=[r.row_id for r in rows])
     assert not is_armstrong_unary(doubled, (x1, x2))
 
 

@@ -6,12 +6,16 @@ differ. The grammar goldens pin the canonical output format, which
 sorts attributes by schema position and keys lexicographically.
 """
 
+import copy
+import io
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import keysets_st, relations_st
+from conftest import CELLS, WARD_ROWS, keysets_st, relations_st
 from keysets import (
     KeySet,
     ParseError,
@@ -21,13 +25,14 @@ from keysets import (
     format_attr_set,
     format_keyset,
     format_schema,
-    is_x_total,
+    load_csv,
     pair_separated_by,
     pair_violates,
     parse_attr_set,
     parse_keyset,
     parse_keyset_lines,
     parse_schema,
+    write_csv,
 )
 from keysets.core import attr_sort_key, format_attr_name
 
@@ -128,31 +133,55 @@ def test_relation_validation(ward_schema):
         Relation.from_values(ward_schema, [("1",) * 5], row_ids=(1, 2))
 
 
-def assert_codes_encode(rel: Relation) -> None:
+def assert_codes_encode(rel: Relation, values, row_ids) -> None:
+    """``rel`` stores exactly ``values`` under ``row_ids``: its rows decode
+    to them, and each column's codes are dense in order of first
+    appearance, equal exactly where the strings are, -1 where missing."""
     codes = rel.codes
-    assert codes.dtype == np.int32 and codes.shape == (len(rel), len(rel.schema))
+    assert codes.dtype == np.int32 and codes.shape == (len(values), len(rel.schema))
+    assert [row.values for row in rel.rows] == [tuple(v) for v in values]
+    assert [row.row_id for row in rel.rows] == rel.row_ids.tolist() == list(row_ids)
     for j in range(len(rel.schema)):
-        column = [row.values[j] for row in rel.rows]
-        for i, v in enumerate(column):
-            assert (codes[i, j] == -1) == (v is None)
-            for i2, v2 in enumerate(column):
-                if v is not None and v2 is not None:
-                    assert (codes[i, j] == codes[i2, j]) == (v == v2)
+        column = [v[j] for v in values]
+        distinct = tuple(dict.fromkeys(v for v in column if v is not None))
+        assert rel.dictionaries[j] == distinct
+        assert codes[:, j].tolist() == [-1 if v is None else distinct.index(v) for v in column]
 
 
 def test_relation_codes(ward, ward_schema):
-    assert_codes_encode(ward)
+    assert_codes_encode(ward, WARD_ROWS, (1, 2, 3, 4))
     assert ward.codes[:, 0].tolist() == [0, -1, 1, 0]
     assert ward.codes is ward.codes
     assert not ward.codes.flags.writeable
+    assert not ward.row_ids.flags.writeable
     with pytest.raises(ValueError):
         ward.codes[0, 0] = 5
     assert Relation.from_values(ward_schema, []).codes.shape == (0, 5)
+    # same schema, row ids and dictionaries; only the codes differ
+    one, other = (Relation.from_values(Schema.of("c"), [("0",), ("1",), (v,)]) for v in "01")
+    assert one.dictionaries == other.dictionaries and one != other
 
 
-@given(relations_st(max_rows=8))
-def test_relation_codes_random(rel):
-    assert_codes_encode(rel)
+@given(st.data())
+def test_relation_codes_random(data):
+    width = data.draw(st.integers(1, 5))
+    schema = Schema(tuple(f"c{i}" for i in range(width)))
+    values = data.draw(st.lists(st.tuples(*[st.sampled_from(CELLS)] * width), max_size=8))
+    row_ids = data.draw(st.lists(st.integers(-5, 50), min_size=len(values), max_size=len(values), unique=True))
+    rel = Relation.from_values(schema, values, row_ids=row_ids)
+    assert_codes_encode(rel, values, row_ids)
+    # value equality, with a hash consistent with it
+    same = Relation.from_values(schema, [list(v) for v in values], row_ids=tuple(row_ids))
+    assert rel == same and hash(rel) == hash(same)
+    if values:
+        assert rel != Relation.from_values(schema, values, row_ids=[i + 100 for i in row_ids])
+        edited = [("9",) + tuple(values[0][1:]), *values[1:]]
+        assert rel != Relation.from_values(schema, edited, row_ids=row_ids)
+    # a CSV round trip keeps every cell and numbers the rows from 0
+    buf = io.StringIO()
+    write_csv(rel, buf)
+    buf.seek(0)
+    assert_codes_encode(load_csv(buf), values, range(len(values)))
 
 
 # --------------------------------------------------------------------------
@@ -175,8 +204,8 @@ def test_empty_attr_set_never_separates(hospital):
 
 def test_is_x_total(hospital):
     t2 = hospital.by_id[2]
-    assert is_x_total(t2, frozenset({0, 3}))
-    assert not is_x_total(t2, frozenset({0, 1}))
+    assert t2.is_total(frozenset({0, 3}))
+    assert not t2.is_total(frozenset({0, 1}))
 
 
 def test_pair_violates_ward(ward):
@@ -264,6 +293,14 @@ def test_parse_keyset_lines_states_the_position_once():
         parse_keyset_lines("{{a}}\n{{b}}", Schema.of("a"))
     assert str(err.value) == "line 2: unknown attribute 'b' (at position 2)"
     assert err.value.position == 2
+
+
+def test_parse_error_pickles_and_copies():
+    err = ParseError("unknown attribute 'b'", 7)
+    for again in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+        assert type(again) is ParseError
+        assert (again.message, again.position) == ("unknown attribute 'b'", 7)
+        assert str(again) == str(err) == "unknown attribute 'b' (at position 7)"
 
 
 # --------------------------------------------------------------------------

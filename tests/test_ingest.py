@@ -18,6 +18,7 @@ from keysets import (
     Schema,
     dataset_stats,
     load_csv,
+    read_schema,
     write_csv,
 )
 from keysets.ingest import schema_from_header
@@ -42,6 +43,7 @@ def test_load_from_path(tmp_path, ward_schema):
     path = tmp_path / "ward.csv"
     path.write_text(WARD_CSV, encoding="utf-8")
     assert load_csv(path).schema == ward_schema
+    assert read_schema(path) == read_schema(str(path)) == ward_schema
     assert load_csv(str(path)).rows == load_text(WARD_CSV).rows
 
 
@@ -114,6 +116,8 @@ def test_header_only_file_is_empty_relation():
 def test_empty_input_rejected():
     with pytest.raises(IngestError, match="empty csv input"):
         load_text("")
+    with pytest.raises(IngestError, match="empty csv input"):
+        read_schema(io.StringIO(""))
 
 
 def test_ragged_row_rejected():
@@ -124,6 +128,12 @@ def test_ragged_row_rejected():
 def test_schema_from_header_cleanup():
     schema = schema_from_header((" room ", "", "name", "name", "  "))
     assert schema == Schema.of("room", "1", "name", "name_3", "4")
+    # the third column's first suffix, a_2, is already the first column's name
+    assert schema_from_header(("a_2", "a", "a")) == Schema.of("a_2", "a", "a_2_2")
+    assert schema_from_header(("1", "", "1_1")) == Schema.of("1", "1_1", "1_1_2")
+    rel = load_text("a_2,a,a\nx,y,z\n")
+    assert rel.schema == Schema.of("a_2", "a", "a_2_2")
+    assert rel.rows[0].values == ("x", "y", "z")
 
 
 def test_config_validation():

@@ -8,7 +8,7 @@ semantics before being frozen here.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import null_heavy_relation_keyset_st, reference_block_trace, relation_keyset_st
@@ -125,7 +125,7 @@ def test_empty_relation(ward_schema, x1):
 
 
 def test_single_row(ward, ward_schema):
-    one = Relation(ward.schema, ward.rows[:1])
+    one = Relation.from_values(ward.schema, [ward.rows[0].values], row_ids=[ward.rows[0].row_id])
     ks = parse_keyset("{{room,time}}", ward_schema)
     assert satisfies(one, ks)
     assert violating_tuples_naive(one, ks) == frozenset()
@@ -189,12 +189,25 @@ def test_removing_rows_never_adds_violations(pair, data):
     if not rel.rows:
         return
     keep = data.draw(st.sets(st.sampled_from([r.row_id for r in rel.rows])))
-    sub = Relation(rel.schema, tuple(r for r in rel.rows if r.row_id in keep))
+    kept = [r for r in rel.rows if r.row_id in keep]
+    sub = Relation.from_values(rel.schema, [r.values for r in kept], row_ids=[r.row_id for r in kept])
     assert violating_blocks(sub, ks).row_ids <= violating_blocks(rel, ks).row_ids
+
+
+# Five rows over 61 two-valued columns. Rows 2 and 3 agree, and their
+# class key, read in mixed radix, is (2^63 - 3) / 5: an index tie-break over
+# five rows would overflow int64 between them.
+_K = (2**63 - 3) // 5
+_TWIN = ["b" if _K >> (60 - j) & 1 else "a" for j in range(61)]
+_WIDE_PAIR = (
+    Relation.from_values(Schema(tuple(f"c{j}" for j in range(61))), [["a"] * 61] * 2 + [_TWIN] * 2 + [["b"] * 61]),
+    KeySet.of(range(61)),
+)
 
 
 @settings(max_examples=200)
 @given(null_heavy_relation_keyset_st())
+@example(_WIDE_PAIR)
 def test_block_trace_matches_row_refinement(pair):
     """Every per-key state of the code-based refinement equals the
     row-by-row reference, under heavy nulls and arbitrary row ids."""
