@@ -14,7 +14,7 @@ import itertools
 import random
 
 from keysets import (
-    apply_nary_composition,
+    apply_composition,
     check_derivation,
     derive_keyset,
     format_derivation,
@@ -57,7 +57,7 @@ def main():
         union = frozenset().union(*combo)
         base = combo[rng.randrange(len(combo))]
         choice[combo] = base | frozenset(a for a in union if rng.random() < 0.3)
-    direct = apply_nary_composition(family, choice)
+    direct = apply_composition(family, choice)
     replay = simulate_nary(family, choice)
     print(f"  direct n-ary result: {len(direct.keys)} keys")
     print(f"  replay: {len(replay.steps)} binary steps, same conclusion: "

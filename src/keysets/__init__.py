@@ -9,6 +9,8 @@ Composition), generates Armstrong relations for the unary fragment, and
 benchmarks the validation algorithms.
 """
 
+from types import ModuleType as _ModuleType
+
 from .armstrong import (
     AntiKeyReport,
     Hypergraph,
@@ -33,6 +35,7 @@ from .core import (
     KeySetFamily,
     ParseError,
     Relation,
+    ResourceLimit,
     Row,
     Schema,
     format_attr_set,
@@ -46,7 +49,6 @@ from .core import (
     parse_schema,
 )
 from .implication import (
-    ChoiceProductTooLarge,
     CnfFormula,
     CounterexampleWitness,
     Decision,
@@ -64,7 +66,6 @@ from .inference import (
     DerivationStep,
     RuleError,
     apply_composition,
-    apply_nary_composition,
     apply_refinement,
     apply_upward_closure,
     check_derivation,
@@ -93,72 +94,9 @@ from .validation import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AntiKeyReport",
-    "AttrSet",
-    "BenchReport",
-    "BlockSet",
-    "ChoiceProductTooLarge",
-    "CnfFormula",
-    "CounterexampleWitness",
-    "DatasetStats",
-    "Decision",
-    "Derivation",
-    "DerivationStep",
-    "GeneratorSpec",
-    "Hypergraph",
-    "ImplicationInstance",
-    "IngestConfig",
-    "IngestError",
-    "KeySet",
-    "KeySetFamily",
-    "ParseError",
-    "Relation",
-    "Row",
-    "RuleError",
-    "Schema",
-    "anti_keys",
-    "apply_composition",
-    "apply_nary_composition",
-    "apply_refinement",
-    "apply_upward_closure",
-    "block_trace",
-    "build_counterexample",
-    "check_derivation",
-    "dataset_stats",
-    "derive_keyset",
-    "first_invalid_step",
-    "format_attr_set",
-    "format_derivation",
-    "format_keyset",
-    "format_schema",
-    "from_3sat",
-    "gen_random_keyset",
-    "gen_sequential_keysets",
-    "generate_armstrong",
-    "implies",
-    "implies_bruteforce",
-    "implies_unary",
-    "is_armstrong_unary",
-    "load_csv",
-    "minimal_transversals",
-    "pair_separated_by",
-    "pair_violates",
-    "parse_attr_set",
-    "parse_derivation",
-    "parse_dimacs",
-    "parse_keyset",
-    "parse_keyset_lines",
-    "parse_schema",
-    "read_schema",
-    "run_bench",
-    "satisfiable",
-    "satisfies",
-    "simulate_nary",
-    "size_bounds",
-    "synthetic_relation",
-    "violating_blocks",
-    "violating_tuples_naive",
-    "violation_percentage",
-    "write_csv",
-]
+# The import lists above are the public API.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -20,17 +20,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AttrSet, KeySet, Relation, Schema, attr_sort_key
+from .core import AttrSet, KeySet, Relation, ResourceLimit, Schema, attr_sort_key
 
 __all__ = [
     "AntiKeyReport",
     "Hypergraph",
+    "TRANSVERSAL_CAP",
     "anti_keys",
     "generate_armstrong",
     "is_armstrong_unary",
     "minimal_transversals",
     "size_bounds",
 ]
+
+TRANSVERSAL_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,10 @@ def minimal_transversals(h: Hypergraph) -> tuple[AttrSet, ...]:
     """All minimal hitting sets, built edge by edge.
 
     Partial transversals are extended with each new edge's vertices and
-    pruned to minimal ones after every edge, so intermediate families stay
-    small in practice.
+    pruned to minimal ones after every edge. The output can be exponential
+    in the number of edges (n disjoint edges of two vertices have 2^n
+    minimal transversals), so a grown family of more than
+    :data:`TRANSVERSAL_CAP` sets raises :class:`ResourceLimit`.
     """
     partial: set[AttrSet] = {frozenset()}
     for edge in sorted(h.edges, key=attr_sort_key):
@@ -71,6 +76,8 @@ def minimal_transversals(h: Hypergraph) -> tuple[AttrSet, ...]:
                 grown.add(t)
             else:
                 grown.update(t | {v} for v in edge)
+        if len(grown) > TRANSVERSAL_CAP:
+            raise ResourceLimit("partial transversal family", len(grown), TRANSVERSAL_CAP)
         partial = _minimal_only(grown)
     return tuple(sorted(partial, key=attr_sort_key))
 
@@ -121,15 +128,15 @@ def generate_armstrong(sigma: Sequence[KeySet], schema: Schema) -> Relation:
     return Relation.from_values(schema, rows)
 
 
-def is_armstrong_unary(relation: Relation, sigma: Sequence[KeySet], *, max_attrs: int = 20) -> bool:
+def is_armstrong_unary(relation: Relation, sigma: Sequence[KeySet]) -> bool:
     """Check the two Armstrong conditions against ``sigma``:
 
     every anti-key is the exact agreement set of some row pair, and no row
-    pair agrees on all attributes of any member's union. Pair scan on the
-    relation's codes plus anti-key enumeration, hence the schema-size cap.
+    pair agrees on all attributes of any member's union. A pair scan on
+    the relation's codes, polynomial in its size, plus the anti-key
+    enumeration, which raises :class:`ResourceLimit` past
+    :data:`TRANSVERSAL_CAP`.
     """
-    if len(relation.schema) > max_attrs:
-        raise ValueError(f"schema has {len(relation.schema)} attributes, cap is {max_attrs}")
     report = anti_keys(sigma, relation.schema)
     unions = {ks.attributes for ks in sigma}
     codes = relation.codes

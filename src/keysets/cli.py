@@ -6,9 +6,13 @@ relation generation (``armstrong``, ``antikeys``), workload generation
 (``gen-keysets``, ``from-3sat``) and timing (``bench``).
 
 Exit codes: 0 when the property holds (satisfied, implied, valid), 1 when
-it does not, 2 on usage or input errors, 3 when a resource cap is hit.
-The implication choice-product cap can be overridden with the
-``KEYSET_PRODUCT_CAP`` environment variable or ``--cap``.
+it does not, 2 on usage or input errors, 3 when a resource limit was hit
+(:class:`~keysets.core.ResourceLimit`). The limits are:
+
+* the key-choice product of ``implies``, 10^6 unless the
+  ``KEYSET_PRODUCT_CAP`` environment variable or ``--cap`` sets it;
+* the partial transversal family that ``antikeys`` and ``armstrong``
+  grow, :data:`~keysets.armstrong.TRANSVERSAL_CAP` sets.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .bench import (
 from .core import (
     KeySet,
     ParseError,
+    ResourceLimit,
     Schema,
     format_attr_set,
     format_keyset,
@@ -43,7 +48,6 @@ from .core import (
 )
 from .implication import (
     DEFAULT_CHOICE_CAP,
-    ChoiceProductTooLarge,
     ImplicationInstance,
     from_3sat,
     implies,
@@ -336,12 +340,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ChoiceProductTooLarge as exc:
+    except (ResourceLimit, ParseError, IngestError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (ParseError, IngestError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CAP if isinstance(exc, ResourceLimit) else EXIT_USAGE
 
 
 def main() -> None:

@@ -32,6 +32,7 @@ __all__ = [
     "KeySetFamily",
     "ParseError",
     "Relation",
+    "ResourceLimit",
     "Row",
     "Schema",
     "attr_sort_key",
@@ -174,13 +175,21 @@ class Relation:
     distinct strings get dense codes ``0, 1, ...`` in order of first
     appearance, listed in ``dictionaries[column]``, and a missing value is
     ``-1``. ``row_ids`` (read-only) makes duplicate rows distinct. Build
-    relations with :meth:`from_values`, the one encoder.
+    relations with :meth:`from_values`, the one encoder; copies and
+    unpickled relations go through the constructor, which sets both
+    arrays read-only.
     """
 
     schema: Schema
     codes: np.ndarray
     dictionaries: tuple[tuple[str, ...], ...]
     row_ids: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.codes.flags.writeable = self.row_ids.flags.writeable = False
+
+    def __reduce__(self):
+        return type(self), (self.schema, self.codes, self.dictionaries, self.row_ids)
 
     @classmethod
     def from_values(
@@ -206,9 +215,7 @@ class Relation:
             code = dict(zip(distinct, range(len(distinct)))) | {None: -1}
             columns.append(list(map(code.__getitem__, column)))
         codes = np.array(columns, dtype=np.int32).T.copy()
-        ids_array = np.array(ids, dtype=np.int64)
-        codes.flags.writeable = ids_array.flags.writeable = False
-        return cls(schema, codes, tuple(dictionaries), ids_array)
+        return cls(schema, codes, tuple(dictionaries), np.array(ids, dtype=np.int64))
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:
@@ -281,6 +288,20 @@ class ParseError(ValueError):
 
     def __reduce__(self):
         return type(self), (self.message, self.position)
+
+
+class ResourceLimit(RuntimeError):
+    """An exponential step outgrew its cap: ``limit`` names the step,
+    ``size`` is how large it got and ``cap`` is the most allowed."""
+
+    def __init__(self, limit: str, size: int, cap: int):
+        super().__init__(f"{limit} has {size} elements, cap is {cap}")
+        self.limit = limit
+        self.size = size
+        self.cap = cap
+
+    def __reduce__(self):
+        return type(self), (self.limit, self.size, self.cap)
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

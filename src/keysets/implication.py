@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-from .core import AttrSet, KeySet, KeySetFamily, ParseError, Relation, Schema
+from .core import AttrSet, KeySet, KeySetFamily, ParseError, Relation, ResourceLimit, Schema
 
 __all__ = [
-    "ChoiceProductTooLarge",
+    "BRUTEFORCE_ATTR_CAP",
     "CnfFormula",
     "CounterexampleWitness",
     "DEFAULT_CHOICE_CAP",
@@ -54,15 +54,15 @@ __all__ = [
 
 DEFAULT_CHOICE_CAP = 10**6
 DIMACS_VARIABLE_CAP = 10**5
+BRUTEFORCE_ATTR_CAP = 12
 
 
-class ChoiceProductTooLarge(RuntimeError):
-    """The key-choice product exceeds the configured cap."""
-
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"choice product has {size} elements, cap is {cap}")
-        self.size = size
-        self.cap = cap
+def _check_choice_product(family: Sequence[KeySet], cap: int) -> None:
+    """Raise :class:`ResourceLimit` when choosing one key from each member
+    of ``family`` gives more than ``cap`` choices."""
+    size = prod(len(ks) for ks in family)
+    if size > cap:
+        raise ResourceLimit("choice product", size, cap)
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,13 @@ def implies(inst: ImplicationInstance, *, max_choices: int = DEFAULT_CHOICE_CAP)
     Searches key choices depth first in canonical order and skips every
     completion of a prefix that is already fine, so a returned witness is
     the canonically smallest failing choice, as a walk over the whole
-    product would find. Raises :class:`ChoiceProductTooLarge` when the
-    product of the member sizes exceeds ``max_choices``, however few
-    choices the search would visit.
+    product would find. Raises :class:`ResourceLimit` when the product of
+    the member sizes exceeds ``max_choices``, however few choices the
+    search would visit.
     """
     if not inst.sigma:
         return Decision(False, CounterexampleWitness((), build_counterexample((), inst)))
-    size = prod(len(ks) for ks in inst.sigma)
-    if size > max_choices:
-        raise ChoiceProductTooLarge(size, max_choices)
+    _check_choice_product(inst.sigma, max_choices)
     picks, _ = _search(inst)
     if picks is None:
         return Decision(True, None)
@@ -206,22 +204,22 @@ def implies_unary(sigma: Sequence[KeySet], phi: KeySet) -> bool:
     return any(ks.attributes <= allowed for ks in sigma)
 
 
-def implies_bruteforce(inst: ImplicationInstance, *, max_attrs: int = 12) -> bool:
+def implies_bruteforce(inst: ImplicationInstance) -> bool:
     """Oracle: enumerate all behaviorally distinct two-row relations.
 
     Per attribute a row pair is either equal and total, unequal and total,
     or not both total; nothing else matters for key sets. ``sigma``
     implies ``phi`` iff no pattern satisfies all of ``sigma`` while
     violating ``phi``. An attribute that no key mentions cannot change the
-    outcome, so only the mentioned ones are enumerated. Exponential in
-    their number; the cap bounds the schema size, which bounds it.
+    outcome, so only the k mentioned ones are enumerated, 3^k patterns.
+    Raises :class:`ResourceLimit` when k exceeds
+    :data:`BRUTEFORCE_ATTR_CAP`, whatever the schema size.
     """
-    n = len(inst.schema)
-    if n > max_attrs:
-        raise ValueError(f"schema has {n} attributes, brute-force cap is {max_attrs}")
     sigma_keys = [ks.sorted_keys for ks in inst.sigma]
     phi_keys = inst.phi.sorted_keys
     attrs = sorted(inst.phi.attributes.union(*(ks.attributes for ks in inst.sigma)))
+    if len(attrs) > BRUTEFORCE_ATTR_CAP:
+        raise ResourceLimit("brute-force attribute set", len(attrs), BRUTEFORCE_ATTR_CAP)
 
     def separated(keys: tuple[AttrSet, ...], total: frozenset[int], neq: frozenset[int]) -> bool:
         return any(x <= total and not x.isdisjoint(neq) for x in keys)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from math import prod
 from typing import Mapping, Sequence
 
 from .core import (
@@ -44,7 +43,7 @@ from .core import (
     format_attr_name,
     parse_schema,
 )
-from .implication import DEFAULT_CHOICE_CAP, ChoiceProductTooLarge
+from .implication import DEFAULT_CHOICE_CAP, _check_choice_product
 
 __all__ = [
     "CompositionParams",
@@ -58,7 +57,6 @@ __all__ = [
     "RULE_UPWARD",
     "UpwardClosureParams",
     "apply_composition",
-    "apply_nary_composition",
     "apply_refinement",
     "apply_upward_closure",
     "check_derivation",
@@ -104,7 +102,15 @@ def _combo_text(combo: tuple[AttrSet, ...]) -> str:
     return "|".join("{" + ",".join(str(a) for a in sorted(k)) + "}" for k in combo)
 
 
-def _compose(family: Sequence[KeySet], choice: Mapping[tuple[AttrSet, ...], AttrSet]) -> KeySet:
+def apply_composition(
+    family: Sequence[KeySet], choice: Mapping[tuple[AttrSet, ...], AttrSet]
+) -> KeySet:
+    """Composition over n >= 1 premises; ``choice`` must cover every key
+    tuple drawn from them.
+
+    For n = 1 the side conditions force every chosen set to equal its key,
+    so the result is the premise itself.
+    """
     family = tuple(family)
     if not family:
         raise RuleError("composition needs at least one premise")
@@ -124,24 +130,6 @@ def _compose(family: Sequence[KeySet], choice: Mapping[tuple[AttrSet, ...], Attr
             )
         out.add(chosen)
     return KeySet(frozenset(out))
-
-
-def apply_composition(
-    x1: KeySet, x2: KeySet, choice: Mapping[tuple[AttrSet, AttrSet], AttrSet]
-) -> KeySet:
-    """Binary Composition; ``choice`` must cover all key pairs of x1 and x2."""
-    return _compose((x1, x2), choice)
-
-
-def apply_nary_composition(
-    family: Sequence[KeySet], choice: Mapping[tuple[AttrSet, ...], AttrSet]
-) -> KeySet:
-    """Composition over n >= 1 premises.
-
-    For n = 1 the side conditions force every chosen set to equal its key,
-    so the result is the premise itself.
-    """
-    return _compose(family, choice)
 
 
 # --------------------------------------------------------------------------
@@ -234,11 +222,11 @@ def _apply_step(rule: str, inputs: list[KeySet], params: StepParams) -> KeySet:
     if rule == RULE_COMPOSITION:
         if len(inputs) != 2 or not isinstance(params, CompositionParams):
             raise RuleError("composition takes exactly two inputs and a choice table")
-        return _compose(inputs, params.as_mapping())
+        return apply_composition(inputs, params.as_mapping())
     if rule == RULE_NARY:
         if not inputs or not isinstance(params, CompositionParams):
             raise RuleError("n-ary composition takes n >= 1 inputs and a choice table")
-        return _compose(inputs, params.as_mapping())
+        return apply_composition(inputs, params.as_mapping())
     raise RuleError(f"unknown rule {rule!r}")
 
 
@@ -317,7 +305,7 @@ def simulate_nary(
     """Replay an n-ary Composition using binary Composition steps only,
     plus at most one final Upward closure.
 
-    The conclusion equals ``apply_nary_composition(family, choice)``. The
+    The conclusion equals ``apply_composition(family, choice)``. The
     number of binary Composition steps stays within
     ``(n + 1) * |union of the premises' keys|``; if a pathological case
     ever exceeded that bound the function raises instead of quietly
@@ -325,7 +313,7 @@ def simulate_nary(
     """
     family = tuple(family)
     n = len(family)
-    target = _compose(family, choice)
+    target = apply_composition(family, choice)
     if n == 1:
         return Derivation(family, (), target)
 
@@ -334,7 +322,7 @@ def simulate_nary(
     def add_composition(
         left_ref: Ref, left: KeySet, right_ref: Ref, right: KeySet, mapping: dict
     ) -> tuple[KeySet, Ref]:
-        result = _compose((left, right), mapping)
+        result = apply_composition((left, right), mapping)
         steps.append(
             DerivationStep(
                 RULE_COMPOSITION,
@@ -425,15 +413,13 @@ def derive_keyset(
     the union of the goal keys contained in the tuple's attribute union;
     refinements then split those unions back into the goal keys. Raises
     :class:`RuleError` when ``goal`` is not implied, and
-    :class:`ChoiceProductTooLarge`, before enumerating any tuple, when the
-    product of the premise sizes exceeds ``max_choices``.
+    :class:`ResourceLimit`, before enumerating any tuple, when the product
+    of the premise sizes exceeds ``max_choices``.
     """
     premises = tuple(premises)
     if not premises:
         raise RuleError("an empty premise family implies no key set")
-    size = prod(len(p) for p in premises)
-    if size > max_choices:
-        raise ChoiceProductTooLarge(size, max_choices)
+    _check_choice_product(premises, max_choices)
     goal_keys = goal.sorted_keys
     mapping: dict[tuple[AttrSet, ...], AttrSet] = {}
     parts_for: dict[AttrSet, tuple[AttrSet, ...]] = {}
@@ -446,7 +432,7 @@ def derive_keyset(
         mapping[combo] = covered
         parts_for.setdefault(covered, zs)
 
-    composed = _compose(premises, mapping)
+    composed = apply_composition(premises, mapping)
     steps: list[DerivationStep] = [
         DerivationStep(
             RULE_NARY,

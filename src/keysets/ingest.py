@@ -33,7 +33,8 @@ __all__ = [
 
 
 class IngestError(ValueError):
-    """Malformed CSV input (empty file, ragged rows, bad config)."""
+    """Malformed CSV input (empty file, ragged rows, text that is not
+    UTF-8 or that the csv module rejects, bad config)."""
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,15 @@ def schema_from_header(header: Iterable[str]) -> Schema:
 
 
 def _records(source: str | Path | io.TextIOBase, config: IngestConfig) -> Iterator[list[str]]:
-    """The CSV records of a stream, or of a path opened and closed here."""
+    """The CSV records of a stream, or of a path opened and closed here;
+    text that is not UTF-8, or that the csv module rejects, raises
+    :class:`IngestError`."""
     is_path = isinstance(source, (str, Path))
     with open(source, newline="", encoding="utf-8") if is_path else nullcontext(source) as fh:
-        yield from csv.reader(fh, delimiter=config.delimiter)
+        try:
+            yield from csv.reader(fh, delimiter=config.delimiter)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise IngestError(f"malformed csv: {exc}") from None
 
 
 def _schema(first: list[str] | None, config: IngestConfig) -> Schema:

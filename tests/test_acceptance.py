@@ -24,7 +24,6 @@ from keysets import (
     Schema,
     anti_keys,
     apply_composition,
-    apply_nary_composition,
     apply_refinement,
     apply_upward_closure,
     block_trace,
@@ -234,7 +233,7 @@ def test_criterion_08_rules_sound_and_simulated():
             left = frozenset({min(target)})
             conclusions.append(apply_refinement(first, target, left, target - left))
         if len(sigma) == 2:
-            conclusions.append(apply_composition(*sigma, random_choice_map(rng, sigma)))
+            conclusions.append(apply_composition(sigma, random_choice_map(rng, sigma)))
         for phi in conclusions:
             assert implies(ImplicationInstance(SCHEMA4, sigma, phi)).implied
             checked += 1
@@ -244,7 +243,7 @@ def test_criterion_08_rules_sound_and_simulated():
         n = rng.randint(1, 3)
         family = tuple(random_keyset(rng, 4, max_keys=2, max_key_size=2) for _ in range(n))
         choice = random_choice_map(rng, family)
-        result = apply_nary_composition(family, choice)
+        result = apply_composition(family, choice)
         derivation = simulate_nary(family, choice)
         assert check_derivation(derivation)
         assert derivation.premises == family

@@ -17,6 +17,7 @@ from keysets import (
     Hypergraph,
     KeySet,
     Relation,
+    ResourceLimit,
     Row,
     Schema,
     anti_keys,
@@ -27,6 +28,7 @@ from keysets import (
     satisfies,
     size_bounds,
 )
+from keysets import armstrong
 from keysets.core import attr_sort_key
 
 
@@ -189,11 +191,31 @@ def test_is_armstrong_detects_union_agreement(ward_schema, x1, x2):
     assert not is_armstrong_unary(doubled, (x1, x2))
 
 
-def test_is_armstrong_cap():
-    schema = Schema(tuple(f"c{i}" for i in range(21)))
-    rel = Relation.from_values(schema, [tuple("0" for _ in range(21))])
-    with pytest.raises(ValueError, match="cap is 20"):
-        is_armstrong_unary(rel, (KeySet.of({0}),))
+def disjoint_pairs(n: int) -> tuple[Schema, tuple[KeySet, ...]]:
+    """n members {{c2i},{c2i+1}}: 2^n minimal transversals of their unions."""
+    schema = Schema(tuple(f"c{i}" for i in range(2 * n)))
+    return schema, tuple(KeySet.of({2 * i}, {2 * i + 1}) for i in range(n))
+
+
+def test_transversal_cap(monkeypatch):
+    # the grown family doubles with each disjoint pair: 32 sets after five
+    # pairs, 64 after six
+    monkeypatch.setattr(armstrong, "TRANSVERSAL_CAP", 32)
+    schema, sigma = disjoint_pairs(5)
+    assert len(anti_keys(sigma, schema).transversals) == 32
+    assert is_armstrong_unary(generate_armstrong(sigma, schema), sigma)
+    schema, sigma = disjoint_pairs(6)
+    # a relation on a wide schema is checked without a schema-size cap
+    rel = Relation.from_values(schema, [tuple("0" for _ in range(12))])
+    calls = (
+        lambda: anti_keys(sigma, schema),
+        lambda: generate_armstrong(sigma, schema),
+        lambda: is_armstrong_unary(rel, sigma),
+    )
+    for call in calls:
+        with pytest.raises(ResourceLimit) as err:
+            call()
+        assert (err.value.limit, err.value.size, err.value.cap) == ("partial transversal family", 64, 32)
 
 
 def test_armstrong_contract_on_random_families():

@@ -4,13 +4,20 @@ Each subcommand is driven in process through ``run_cli``. Output that
 feeds back into the library (witness CSVs, derivation files, generated
 key sets) is parsed again and re-validated rather than string-compared.
 
-Exit codes: 0 holds, 1 does not hold, 2 usage or input error, 3 cap.
+Exit codes: 0 holds, 1 does not hold, 2 usage or input error, 3 a
+resource limit was hit.
 """
 
+import contextlib
 import io
 import json
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import WARD_CSV
 from keysets import (
@@ -27,6 +34,7 @@ from keysets import (
     parse_schema,
     satisfies,
 )
+from keysets.armstrong import TRANSVERSAL_CAP
 from keysets.cli import run_cli
 
 WARD_SCHEMA_TEXT = "room,name,address,injury,time"
@@ -327,6 +335,25 @@ def test_antikeys_rejects_empty_family(tmp_path, capsys):
     assert "no key sets found" in capsys.readouterr().err
 
 
+# 20 members {{c2i},{c2i+1}}: 2^20 minimal transversals
+PAIRS_SCHEMA_TEXT = ",".join(f"c{i}" for i in range(40))
+PAIRS_SIGMA_TEXT = "".join(f"{{{{c{2 * i}}},{{c{2 * i + 1}}}}}\n" for i in range(20))
+
+
+def test_transversal_cap_exits_3(tmp_path, capsys):
+    sigma = tmp_path / "pairs.txt"
+    sigma.write_text(PAIRS_SIGMA_TEXT, encoding="utf-8")
+    for command in ("antikeys", "armstrong"):
+        started = time.perf_counter()
+        assert run_cli([command, "--schema", PAIRS_SCHEMA_TEXT, "--sigma", str(sigma)]) == 3
+        assert time.perf_counter() - started < 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: partial transversal family has 8192 elements, cap is {TRANSVERSAL_CAP}\n"
+        )
+
+
 # --------------------------------------------------------------------------
 # gen-keysets / from-3sat
 
@@ -461,3 +488,112 @@ def test_usage_errors(capsys):
     assert run_cli([]) == 2
     assert run_cli(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+# --------------------------------------------------------------------------
+# hostile input: any small file, any subcommand, never a traceback
+
+# An argument "@name" stands for the path of the generated file "name".
+SCHEMA_SPECS = ("a,b,c", "a", "@data.csv", "a,,b", "")
+VALID_PROOF = (
+    "schema: a,b,c\n"
+    "premise 0: {{a},{b}}\n"
+    "premise 1: {{a,b}}\n"
+    "0: NaryComposition from p0,p1 with {a}|{a,b}->{a,b}; {b}|{a,b}->{a,b} => {{a,b}}\n"
+    "1: Refinement from s0 with {a,b}->{a}|{b} => {{a},{b}}\n"
+    "conclusion: {{a},{b}}\n"
+)
+
+
+def _junk(alphabet: str):
+    return st.text(alphabet=alphabet, max_size=40)
+
+
+def _lines(lines, max_size: int = 5):
+    return st.lists(lines, max_size=max_size).map(lambda ls: "".join(line + "\n" for line in ls))
+
+
+_cell = st.sampled_from(("0", "1", "?", "", '"x,y"'))
+_csv = st.one_of(
+    _junk('ab01?,"\n '),
+    st.builds(
+        lambda header, rows: header + "\n" + rows,
+        st.sampled_from(("a,b,c", "a,b", "a,a,b", "")),
+        _lines(st.lists(_cell, min_size=3, max_size=3).map(",".join)),
+    ),
+)
+_key = st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(lambda k: "{%s}" % ",".join(k))
+_keyset = st.lists(_key, min_size=1, max_size=3).map(lambda ks: "{%s}" % ",".join(ks))
+_sigma = st.one_of(_junk('{}abc,"\\\n #'), _lines(_keyset, max_size=4))
+_literal = st.sampled_from((-3, -2, -1, 1, 2, 3, 0, 7)).map(str)
+_cnf = st.one_of(
+    _junk("pcnf 0123-\n"),
+    st.builds(
+        lambda problem, clauses: problem + clauses,
+        st.sampled_from(("p cnf 3 2\n", "p cnf 3 0\n", "p cnf x\n", "")),
+        _lines(st.lists(_literal, min_size=1, max_size=4).map(" ".join).map("{} 0".format), max_size=4),
+    ),
+)
+_proof = st.one_of(
+    _junk("{}ab,:>-|;\n 0ps"),
+    st.just(VALID_PROOF),
+    # the valid proof's lines, some dropped, repeated or reordered
+    _lines(st.sampled_from([*VALID_PROOF.splitlines(), "0: UpwardClosure from p9 with {{c}} => {{c}}"])),
+)
+_small = st.integers(-1, 4).map(str)
+
+
+@st.composite
+def _argv(draw):
+    spec = st.sampled_from(SCHEMA_SPECS)
+    ingest = st.sampled_from(([], ["--no-header"], ["--null-token", "1"], ["--delimiter", ";"]))
+    commands = ("validate", "implies", "implies-unary", "check-proof", "armstrong", "antikeys")
+    command = draw(st.sampled_from((*commands, "gen-keysets", "from-3sat", "bench")))
+    if command == "validate":
+        target = draw(st.sampled_from((["--keyset", draw(_keyset)], ["--keyset-file", "@sigma.txt"])))
+        algo = draw(st.sampled_from(("naive", "linear")))
+        report = draw(st.sampled_from(("table", "json")))
+        return ["validate", "--data", "@data.csv", *target, "--algo", algo, "--report", report, *draw(ingest)]
+    if command in ("implies", "implies-unary"):
+        cap = ["--cap", draw(_small)] if command == "implies" and draw(st.booleans()) else []
+        return [command, "--schema", draw(spec), "--sigma", "@sigma.txt", "--phi", draw(_keyset), *cap]
+    if command == "check-proof":
+        return [command, "--derivation", "@proof.txt"]
+    if command in ("armstrong", "antikeys"):
+        return [command, "--schema", draw(spec), "--sigma", "@sigma.txt"]
+    if command == "gen-keysets":
+        mode = draw(st.sampled_from(("sequential", "random")))
+        numbers = ["--param", draw(_small), "--seed", draw(_small)]
+        return [command, "--schema", draw(spec), "--mode", mode, *numbers]
+    if command == "from-3sat":
+        return [command, "--dimacs", "@formula.cnf"]
+    return ["bench", "--data", "@data.csv", "--repeats", "1", *draw(ingest)]
+
+
+_inputs = st.fixed_dictionaries(
+    {"data.csv": _csv, "sigma.txt": _sigma, "formula.cnf": _cnf, "proof.txt": _proof}
+)
+
+
+@given(_inputs, _argv(), st.none())
+@example(
+    {"data.csv": "a,b\n" + "x" * 200_000 + ",1\n"},
+    ["validate", "--data", "@data.csv", "--keyset", "{{a}}"],
+    2,
+)
+@example(
+    {"sigma.txt": PAIRS_SIGMA_TEXT},
+    ["antikeys", "--schema", PAIRS_SCHEMA_TEXT, "--sigma", "@sigma.txt"],
+    3,
+)
+def test_cli_never_raises(files, argv, expected):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        argv = [str(Path(tmp, a[1:])) if a.startswith("@") else a for a in argv]
+        # an exception escaping run_cli fails the test
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(argv)
+    assert code in (0, 1, 2, 3)
+    if expected is not None:
+        assert code == expected

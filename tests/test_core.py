@@ -20,6 +20,7 @@ from keysets import (
     KeySet,
     ParseError,
     Relation,
+    ResourceLimit,
     Row,
     Schema,
     format_attr_set,
@@ -162,6 +163,18 @@ def test_relation_codes(ward, ward_schema):
     assert one.dictionaries == other.dictionaries and one != other
 
 
+def test_relation_copies_stay_read_only(ward):
+    ward.rows  # a cached view must not leak into the copies
+    for again in (pickle.loads(pickle.dumps(ward)), copy.copy(ward), copy.deepcopy(ward)):
+        assert type(again) is Relation
+        assert not again.codes.flags.writeable
+        assert not again.row_ids.flags.writeable
+        with pytest.raises(ValueError):
+            again.codes[0, 0] = 5
+        assert again == ward and hash(again) == hash(ward)
+        assert again.rows == ward.rows
+
+
 @given(st.data())
 def test_relation_codes_random(data):
     width = data.draw(st.integers(1, 5))
@@ -301,6 +314,15 @@ def test_parse_error_pickles_and_copies():
         assert type(again) is ParseError
         assert (again.message, again.position) == ("unknown attribute 'b'", 7)
         assert str(again) == str(err) == "unknown attribute 'b' (at position 7)"
+
+
+def test_resource_limit_pickles_and_copies():
+    err = ResourceLimit("choice product", 8, 7)
+    assert isinstance(err, RuntimeError)
+    for again in (pickle.loads(pickle.dumps(err)), copy.copy(err), copy.deepcopy(err)):
+        assert type(again) is ResourceLimit
+        assert (again.limit, again.size, again.cap) == ("choice product", 8, 7)
+        assert str(again) == str(err) == "choice product has 8 elements, cap is 7"
 
 
 # --------------------------------------------------------------------------

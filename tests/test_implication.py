@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 from conftest import keysets_st, pair_state, random_family, random_keyset, reference_implies, witness_refutes
 from keysets import (
-    ChoiceProductTooLarge,
     CnfFormula,
     ImplicationInstance,
     KeySet,
     ParseError,
+    ResourceLimit,
     Schema,
     build_counterexample,
     from_3sat,
@@ -35,7 +35,7 @@ from keysets import (
     satisfiable,
     satisfies,
 )
-from keysets.implication import DIMACS_VARIABLE_CAP, _search
+from keysets.implication import BRUTEFORCE_ATTR_CAP, DIMACS_VARIABLE_CAP, _search
 
 # --------------------------------------------------------------------------
 # The running example: {x1, x2} implies x but not phi_prime.
@@ -110,7 +110,7 @@ def test_instance_rejects_oversized_keyset(ward_schema, x1):
 
 def test_choice_product_cap(ward_schema, x1, x2, phi_prime):
     inst = ImplicationInstance(ward_schema, (x1, x2), phi_prime)
-    with pytest.raises(ChoiceProductTooLarge) as err:
+    with pytest.raises(ResourceLimit) as err:
         implies(inst, max_choices=3)
     assert err.value.size == 4
     assert err.value.cap == 3
@@ -258,11 +258,19 @@ def test_search_work_count_on_unsatisfiable_formula():
 
 
 def test_bruteforce_cap():
+    # the cap counts the attributes some key mentions, not the schema
     schema = Schema(tuple(f"c{i}" for i in range(13)))
     inst = ImplicationInstance(schema, (KeySet.of({0}),), KeySet.of({0}))
-    with pytest.raises(ValueError, match="brute-force cap"):
-        implies_bruteforce(inst)
-    assert implies_bruteforce(inst, max_attrs=13)
+    assert implies_bruteforce(inst)
+    assert implies_bruteforce(ImplicationInstance(schema, (KeySet.of({0}),), KeySet.of({0}, {1})))
+    wide = ImplicationInstance(schema, (KeySet.of(*({a} for a in range(13))),), KeySet.of({0}))
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimit) as err:
+        implies_bruteforce(wide)
+    # raised before enumerating any of the 3^13 patterns
+    assert time.perf_counter() - started < 0.05
+    assert (err.value.limit, err.value.size, err.value.cap) == ("brute-force attribute set", 13, 12)
+    assert BRUTEFORCE_ATTR_CAP == 12
 
 
 @given(st.data())

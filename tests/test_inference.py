@@ -16,16 +16,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from keysets import (
-    ChoiceProductTooLarge,
     Derivation,
     DerivationStep,
     ImplicationInstance,
     KeySet,
     ParseError,
+    ResourceLimit,
     RuleError,
     Schema,
     apply_composition,
-    apply_nary_composition,
     apply_refinement,
     apply_upward_closure,
     check_derivation,
@@ -93,48 +92,48 @@ def test_composition_golden(x1, x2, x_goal):
     choice = composition_choice(
         x1, x2, (frozenset({0, 1, 4}), frozenset({3, 4}), frozenset({3, 4}), frozenset({3, 4}))
     )
-    assert apply_composition(x1, x2, choice) == x_goal
+    assert apply_composition((x1, x2), choice) == x_goal
 
 
 def test_composition_all_unions():
     x1, x2 = KeySet.of(A, B), KeySet.of(C, D)
     choice = {(k1, k2): k1 | k2 for k1 in x1.sorted_keys for k2 in x2.sorted_keys}
-    assert apply_composition(x1, x2, choice) == KeySet.of(A | C, A | D, B | C, B | D)
+    assert apply_composition((x1, x2), choice) == KeySet.of(A | C, A | D, B | C, B | D)
 
 
 def test_composition_side_conditions():
     x1, x2 = KeySet.of(A, B), KeySet.of(C)
     with pytest.raises(RuleError, match="no entry for key tuple"):
-        apply_composition(x1, x2, {(A, C): A | C})
+        apply_composition((x1, x2), {(A, C): A | C})
     with pytest.raises(RuleError, match="escapes the key union"):
-        apply_composition(x1, x2, {(A, C): A | D, (B, C): B | C})
+        apply_composition((x1, x2), {(A, C): A | D, (B, C): B | C})
     with pytest.raises(RuleError, match="no component key is contained"):
-        apply_composition(x1, x2, {(A, C): frozenset(), (B, C): B | C})
+        apply_composition((x1, x2), {(A, C): frozenset(), (B, C): B | C})
 
 
 def test_composition_chosen_set_may_be_partial_union():
     x1, x2 = KeySet.of(A | B), KeySet.of(C)
-    out = apply_composition(x1, x2, {(A | B, C): A | C})  # contains C, drops B
+    out = apply_composition((x1, x2), {(A | B, C): A | C})  # contains C, drops B
     assert out == KeySet.of(A | C)
 
 
 def test_nary_composition_unary_family():
     ks = KeySet.of(A, B | C)
     identity = {(k,): k for k in ks.sorted_keys}
-    assert apply_nary_composition((ks,), identity) == ks
+    assert apply_composition((ks,), identity) == ks
     with pytest.raises(RuleError, match="no component key"):
-        apply_nary_composition((ks,), {(A,): A, (B | C,): B})
+        apply_composition((ks,), {(A,): A, (B | C,): B})
 
 
 def test_nary_composition_needs_premises():
     with pytest.raises(RuleError, match="at least one premise"):
-        apply_nary_composition((), {})
+        apply_composition((), {})
 
 
 def test_nary_composition_three_premises():
     family = (KeySet.of(A, B), KeySet.of(C), KeySet.of(D))
     choice = {combo: frozenset().union(*combo) for combo in itertools.product(*family)}
-    assert apply_nary_composition(family, choice) == KeySet.of(A | C | D, B | C | D)
+    assert apply_composition(family, choice) == KeySet.of(A | C | D, B | C | D)
 
 
 # --------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def test_rule_outputs_are_implied(data):
             frozenset(rng.sample(range(5), rng.randint(1, 2))) for _ in range(rng.randint(1, 2))
         )
         family.append(KeySet(keys))
-    out = apply_nary_composition(family, random_choice_map(rng, family))
+    out = apply_composition(family, random_choice_map(rng, family))
     assert implies(ImplicationInstance(schema, tuple(family), out)).implied
 
 
@@ -261,7 +260,7 @@ def test_simulate_three_premises_golden():
     choice = {combo: frozenset().union(*combo) for combo in itertools.product(*family)}
     d = simulate_nary(family, choice)
     assert check_derivation(d)
-    assert d.conclusion == apply_nary_composition(family, choice)
+    assert d.conclusion == apply_composition(family, choice)
     rules = [s.rule for s in d.steps]
     assert set(rules) <= {RULE_COMPOSITION, RULE_UPWARD}
     assert rules.count(RULE_UPWARD) <= 1
@@ -285,7 +284,7 @@ def test_simulate_matches_nary_on_random_choices(data):
     choice = random_choice_map(rng, family)
     d = simulate_nary(family, choice)
     assert check_derivation(d)
-    assert d.conclusion == apply_nary_composition(family, choice)
+    assert d.conclusion == apply_composition(family, choice)
     rules = [s.rule for s in d.steps]
     assert all(r == RULE_COMPOSITION for r in rules[:-1])
     assert rules[-1] in (RULE_COMPOSITION, RULE_UPWARD)
@@ -332,7 +331,7 @@ def test_derive_choice_product_cap():
     # three premises of two keys each: a product of 8 tuples
     family = (KeySet.of(A, B), KeySet.of(A, C), KeySet.of(A, D))
     goal = KeySet.of(A, B | C | D)
-    with pytest.raises(ChoiceProductTooLarge) as err:
+    with pytest.raises(ResourceLimit) as err:
         derive_keyset(family, goal, max_choices=7)
     assert (err.value.size, err.value.cap) == (8, 7)
     assert check_derivation(derive_keyset(family, goal, max_choices=8))
@@ -342,7 +341,7 @@ def test_derive_cap_fails_before_enumerating():
     # the goal is refuted by the first key tuple, so only a check made
     # before enumerating can raise the cap error
     family = tuple(KeySet.of({2 * i}, {2 * i + 1}) for i in range(40))
-    with pytest.raises(ChoiceProductTooLarge) as err:
+    with pytest.raises(ResourceLimit) as err:
         derive_keyset(family, KeySet.of(frozenset(range(80))))
     assert (err.value.size, err.value.cap) == (2**40, DEFAULT_CHOICE_CAP)
 

@@ -120,6 +120,19 @@ def test_empty_input_rejected():
         read_schema(io.StringIO(""))
 
 
+def test_unreadable_records_rejected(tmp_path):
+    # the csv module refuses a field over its 131,072-character limit
+    long_cell = "a,b\n" + "x" * 200_000 + ",1\n"
+    with pytest.raises(IngestError, match="malformed csv: field larger than field limit"):
+        load_text(long_cell)
+    with pytest.raises(IngestError, match="malformed csv: field larger"):
+        read_schema(io.StringIO("x" * 200_000 + "\n"))
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"a\n\xe9\n")
+    with pytest.raises(IngestError, match="malformed csv: 'utf-8' codec can't decode"):
+        load_csv(latin1)
+
+
 def test_ragged_row_rejected():
     with pytest.raises(IngestError, match="row 1 has 3 cells, expected 2"):
         load_text("a,b\n1,2\n1,2,3\n")

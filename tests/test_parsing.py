@@ -31,7 +31,7 @@ from keysets import (
     KeySet,
     ParseError,
     Schema,
-    apply_nary_composition,
+    apply_composition,
     check_derivation,
     derive_keyset,
     format_attr_set,
@@ -106,7 +106,7 @@ def derivations_st(draw):
     choice = random_choice_map(rnd, family)
     if draw(st.booleans()):
         return simulate_nary(family, choice), schema
-    goal = _refine_randomly(rnd, apply_nary_composition(family, choice), rnd.randint(0, 3))
+    goal = _refine_randomly(rnd, apply_composition(family, choice), rnd.randint(0, 3))
     if rnd.random() < 0.5:
         goal = KeySet(goal.keys | random_keyset(rnd, width).keys)
     return derive_keyset(family, goal), schema
