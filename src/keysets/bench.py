@@ -110,13 +110,16 @@ def keysets_from_spec(schema: Schema, spec: GeneratorSpec, count: int = 1) -> tu
     """Materialize a generator spec.
 
     Sequential mode yields the single X_param (``count`` is ignored);
-    random mode yields ``count`` key sets with seeds seed, seed+1, ...
+    random mode yields ``count`` key sets, at least one, with seeds seed,
+    seed+1, ...
     """
     if spec.mode == "sequential":
         family = gen_sequential_keysets(schema)
         if spec.param > len(family):
             raise ValueError(f"sequential index {spec.param} exceeds schema size {len(family)}")
         return (family[spec.param - 1],)
+    if count < 1:
+        raise ValueError("count must be >= 1")
     base = spec.seed if spec.seed is not None else 0
     return tuple(gen_random_keyset(schema, spec.param, base + i) for i in range(count))
 

@@ -12,7 +12,9 @@ it does not, 2 on usage or input errors, 3 when a resource limit was hit
 * the key-choice product of ``implies``, 10^6 unless the
   ``KEYSET_PRODUCT_CAP`` environment variable or ``--cap`` sets it;
 * the partial transversal family that ``antikeys`` and ``armstrong``
-  grow, :data:`~keysets.armstrong.TRANSVERSAL_CAP` sets.
+  grow, :data:`~keysets.armstrong.TRANSVERSAL_CAP` sets;
+* the block rows of one refinement state in ``validate --algo linear``
+  and ``bench``, :data:`~keysets.validation.BLOCK_ROW_CAP` row copies.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ EXIT_CAP = 3
 
 def _resolve_schema(spec: str) -> Schema:
     """Inline comma list, or the header of an existing CSV file."""
-    if not Path(spec).exists():
+    if not Path(spec).is_file():
         return parse_schema(spec)
     try:
         return read_schema(spec)

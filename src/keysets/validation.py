@@ -15,6 +15,15 @@ Two independent routes compute which rows take part in a violation:
   time is linear in rows times total key size, up to the sort's log factor,
   for bounded block overlap. :func:`block_trace` and :func:`satisfies` run
   the same refinement loop; ``satisfies`` stops at the first empty state.
+  A state holding more than :data:`BLOCK_ROW_CAP` row copies raises
+  :class:`~keysets.core.ResourceLimit` before it is built.
+
+  The final state then keeps only its maximal blocks. When no row is in
+  two blocks every block is maximal and the filter returns at once.
+  Otherwise each block is compared only with the larger blocks that hold
+  its rarest row, the member in the fewest blocks, by array lookups of
+  its other members, so the filter's cost follows the overlap of the
+  blocks rather than the square of their number.
 
 Both routes read ``Relation.codes``, the relation's storage, which
 :meth:`Relation.from_values` (and so ``load_csv``) builds at ingest;
@@ -30,9 +39,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import KeySet, Relation, attr_sort_key
+from .core import KeySet, Relation, ResourceLimit, attr_sort_key
 
-__all__ = ["BlockSet", "block_trace", "satisfies", "violating_blocks", "violating_tuples_naive"]
+__all__ = ["BLOCK_ROW_CAP", "BlockSet", "block_trace", "satisfies", "violating_blocks", "violating_tuples_naive"]
+
+# Most (block, row) members one refinement state may hold. The largest
+# state a test, a demo or the benchmark builds has 334,504.
+BLOCK_ROW_CAP = 5_000_000
+# About the most (block, larger block) pairs the maximal-block filter makes
+# at once; it bounds the filter's work arrays.
+_PAIR_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,12 @@ def _dense(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return order, np.cumsum(_change(key[order])) - 1
 
 
+def _drop_blocks(blk: np.ndarray, pos: np.ndarray, drop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The state without the blocks that ``drop`` marks, renumbered."""
+    keep = ~drop[blk]
+    return (np.cumsum(~drop) - 1)[blk[keep]], pos[keep]
+
+
 def _merge_identical(blk: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Drop every block whose member set equals an earlier one.
 
@@ -121,8 +143,7 @@ def _merge_identical(blk: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.n
     equal = pos[np.repeat(starts[cand], width) + within] == pos[np.repeat(starts[head[cand]], width) + within]
     drop = np.zeros(len(starts), dtype=bool)
     drop[cand[np.logical_and.reduceat(equal, np.cumsum(width) - width)]] = True
-    keep = ~drop[blk]
-    return (np.cumsum(~drop) - 1)[blk[keep]], pos[keep]
+    return _drop_blocks(blk, pos, drop)
 
 
 def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, cols: list[int]):
@@ -166,6 +187,9 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
         class_start = np.cumsum(per_block) - per_block
         c_cls = np.repeat(class_start[i_blk], copies) + _within(copies)
         orphan = copies == 0
+        size = len(new_pos) + int(copies.sum()) + int(np.count_nonzero(orphan))
+        if size > BLOCK_ROW_CAP:
+            raise ResourceLimit("block rows", size, BLOCK_ROW_CAP)
         o_cls = np.cumsum(_change(i_blk[orphan])) - 1 + per_block.sum()
         cls = np.concatenate((cls, c_cls, o_cls))
         new_pos = np.concatenate((new_pos, np.repeat(i_pos, copies), i_pos[orphan]))
@@ -212,14 +236,56 @@ def block_trace(relation: Relation, ks: KeySet) -> list[BlockSet]:
     return [_blockset(relation, blk, pos) for blk, pos in _refine(relation, ks)]
 
 
-def _maximal_only(blocks: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
-    if sum(map(len, blocks)) == len(frozenset().union(*blocks)):
-        return blocks  # no row is in two blocks, so none holds another
-    kept: list[frozenset[int]] = []
-    for b in sorted(set(blocks), key=len, reverse=True):
-        if not any(b < other for other in kept):
-            kept.append(b)
-    return tuple(kept)
+def _maximal_only(blk: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Drop every block of a state that a larger block contains.
+
+    A block holding all of ``b``'s rows holds its rarest row, the member of
+    ``b`` in the fewest blocks, so ``b`` is paired only with the larger
+    blocks on that row whose row signature covers ``b``'s. Each round then
+    looks up the next member of ``b``, rarest first, in every live pair's
+    larger block; a pair ends at its first miss or once every member was
+    found. Pairs are made a chunk of candidates at a time. Equal blocks
+    never drop each other (only a hash collision in
+    :func:`_merge_identical` leaves any, and :class:`BlockSet` merges them).
+    """
+    count = np.bincount(pos, minlength=n)
+    if count.max(initial=0) < 2:
+        return blk, pos  # no row is in two blocks, so none holds another
+    starts = _starts(blk)
+    sizes = np.diff(starts, append=len(pos))
+    # each block's members, rarest first
+    ranked = pos[np.argsort(blk * (int(count.max()) + 1) + count[pos])]
+    rare = ranked[starts]
+    # inverted index: the blocks on each row, ascending, row after row
+    on_row = blk[np.argsort(pos, kind="stable")]
+    row_start = np.cumsum(count) - count
+    # the state's (block, row) pairs as sorted keys, and a sentinel past them
+    key = np.append(blk * n + pos, len(starts) * n)
+    # one hashed bit per member: a block that holds b has every bit of b's
+    sig = np.bitwise_or.reduceat(np.uint64(1) << (_mix(pos) & np.uint64(63)), starts)
+    cand = np.flatnonzero(count[rare] > 1)
+    pairs = count[rare[cand]]
+    ends = np.cumsum(pairs)
+    drop = np.zeros(len(starts), dtype=bool)
+    lo = 0
+    while lo < len(cand):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - pairs[lo] + _PAIR_CHUNK, side="right")))
+        k = pairs[lo:hi]
+        b = np.repeat(cand[lo:hi], k)
+        o = on_row[np.repeat(row_start[rare[cand[lo:hi]]], k) + _within(k)]
+        larger = (sizes[o] > sizes[b]) & (sig[b] & ~sig[o] == 0)
+        b, o = b[larger], o[larger]
+        nxt = starts[b] + 1
+        end = starts[b] + sizes[b]
+        while len(b):
+            q = o * n + ranked[nxt]
+            hit = key[np.searchsorted(key, q)] == q
+            nxt += 1
+            drop[b[hit & (nxt == end)]] = True
+            go = hit & (nxt < end)
+            b, o, nxt, end = b[go], o[go], nxt[go], end[go]
+        lo = hi
+    return _drop_blocks(blk, pos, drop)
 
 
 def violating_blocks(relation: Relation, ks: KeySet) -> BlockSet:
@@ -231,7 +297,7 @@ def violating_blocks(relation: Relation, ks: KeySet) -> BlockSet:
     _check_fits(relation, ks)
     for state in _refine(relation, ks):
         pass
-    return BlockSet(_maximal_only(_blockset(relation, *state).blocks))
+    return _blockset(relation, *_maximal_only(*state, len(relation)))
 
 
 def satisfies(relation: Relation, ks: KeySet) -> bool:

@@ -273,6 +273,19 @@ def reference_block_trace(relation: Relation, ks: KeySet) -> list[BlockSet]:
     return trace
 
 
+def reference_maximal_only(blocks: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
+    """The blocks that no other block strictly contains, by comparing each
+    block with every kept one, largest first (the oracle for the filter in
+    ``violating_blocks``)."""
+    if sum(map(len, blocks)) == len(frozenset().union(*blocks)):
+        return blocks  # no row is in two blocks, so none holds another
+    kept: list[frozenset[int]] = []
+    for b in sorted(set(blocks), key=len, reverse=True):
+        if not any(b < other for other in kept):
+            kept.append(b)
+    return tuple(kept)
+
+
 # --------------------------------------------------------------------------
 # Reference implication decider: the walk over the whole key-choice
 # product, with frozenset unions, that the pruned search replaced.

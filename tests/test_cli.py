@@ -21,7 +21,10 @@ from hypothesis import strategies as st
 
 from conftest import WARD_CSV
 from keysets import (
+    GeneratorSpec,
     KeySet,
+    ResourceLimit,
+    block_trace,
     derive_keyset,
     format_derivation,
     from_3sat,
@@ -33,8 +36,11 @@ from keysets import (
     parse_keyset,
     parse_schema,
     satisfies,
+    violating_blocks,
 )
+from keysets import validation
 from keysets.armstrong import TRANSVERSAL_CAP
+from keysets.bench import keysets_from_spec
 from keysets.cli import run_cli
 
 WARD_SCHEMA_TEXT = "room,name,address,injury,time"
@@ -223,6 +229,26 @@ def test_implies_schema_from_csv_header(ward_csv, sigma_file, capsys):
     assert capsys.readouterr().out == "implied\n"
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("", "expected an attribute name (at position 0)"),
+        (".", "unexpected character '.' (at position 0)"),
+        ("a,,b", "expected an attribute name (at position 2)"),
+    ],
+    ids=["empty", "directory", "empty-name"],
+)
+def test_schema_spec_not_a_file_is_parsed(spec, message, sigma_file, capsys):
+    """Only an existing file is read as a CSV header; anything else,
+    including a directory, is parsed as an attribute list."""
+    for argv in (
+        ["implies", "--schema", spec, "--sigma", sigma_file, "--phi", "{{a}}"],
+        ["gen-keysets", "--schema", spec, "--mode", "sequential"],
+    ):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_implies_missing_sigma_file(tmp_path, capsys):
     code = run_cli(
         ["implies", "--schema", "a,b", "--sigma", str(tmp_path / "gone.txt"), "--phi", "{{a}}"]
@@ -354,6 +380,25 @@ def test_transversal_cap_exits_3(tmp_path, capsys):
         )
 
 
+def test_block_row_cap_exits_3(ward_csv, monkeypatch, capsys):
+    """{{room,time}} puts the ward's three total rows in three classes and
+    copies row 1, missing room, into each: six block rows."""
+    relation = load_csv(ward_csv)
+    ks = parse_keyset("{{room,time}}", relation.schema)
+    argv = ["validate", "--data", ward_csv, "--keyset", "{{room,time}}"]
+    monkeypatch.setattr(validation, "BLOCK_ROW_CAP", 5)
+    for fn in (violating_blocks, satisfies, block_trace):
+        with pytest.raises(ResourceLimit) as info:
+            fn(relation, ks)
+        assert (info.value.limit, info.value.size, info.value.cap) == ("block rows", 6, 5)
+    assert run_cli(argv) == 3
+    assert capsys.readouterr() == ("", "error: block rows has 6 elements, cap is 5\n")
+    assert run_cli(argv + ["--algo", "naive"]) == 1  # the all-pairs route builds no blocks
+    monkeypatch.setattr(validation, "BLOCK_ROW_CAP", 6)
+    assert run_cli(argv) == 1
+    capsys.readouterr()
+
+
 # --------------------------------------------------------------------------
 # gen-keysets / from-3sat
 
@@ -401,6 +446,15 @@ def test_gen_keysets_random(capsys):
 def test_gen_keysets_random_needs_param(capsys):
     assert run_cli(["gen-keysets", "--schema", "a,b", "--mode", "random"]) == 2
     assert "--param" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_gen_keysets_count_below_one(count, capsys):
+    argv = ["gen-keysets", "--schema", "a,b,c", "--mode", "random", "--param", "2", "--count", count]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", "error: count must be >= 1\n")
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        keysets_from_spec(parse_schema("a,b,c"), GeneratorSpec("random", 2), count=int(count))
 
 
 def test_from_3sat_cli(tmp_path, capsys):
