@@ -41,13 +41,20 @@ import numpy as np
 
 from .core import KeySet, Relation, ResourceLimit, attr_sort_key
 
-__all__ = ["BLOCK_ROW_CAP", "BlockSet", "block_trace", "satisfies", "violating_blocks", "violating_tuples_naive"]
+__all__ = [
+    "BLOCK_ROW_CAP",
+    "BlockSet",
+    "block_trace",
+    "satisfies",
+    "violating_blocks",
+    "violating_tuples_naive",
+]
 
 # Most (block, row) members one refinement state may hold. The largest
 # state a test, a demo or the benchmark builds has 334,504.
 BLOCK_ROW_CAP = 5_000_000
-# About the most (block, larger block) pairs the maximal-block filter makes
-# at once; it bounds the filter's work arrays.
+# About the most (block, block on its rarest row) pairs the maximal-block
+# filter builds at once; it bounds the filter's work arrays.
 _PAIR_CHUNK = 1 << 15
 
 

@@ -236,11 +236,21 @@ def _case(rows, keys, row_ids):
 # Final raw states, by row id: {0,5} lies in {0,3,5} and in {0,5,8}; the
 # chain {1,2} < {1,2,4} < {1,2,4,9}; and {1,2,3} and {1,2,8}, of equal
 # size, share all but one row, each row of them in two blocks.
-_IN_TWO = _case([("0", "0"), ("1", "0"), ("1", None), (None, "0"), ("0", "1")], [{0, 1}, {1}], [8, 3, 5, 0, 6])
-_CHAIN = _case(
-    [("1", None), ("1", "1"), (None, None), ("0", "0"), (None, "1"), ("1", "0")], [{0}, {0, 1}, {1}], [4, 9, 1, 7, 2, 6]
+_IN_TWO = _case(
+    [("0", "0"), ("1", "0"), ("1", None), (None, "0"), ("0", "1")],
+    [{0, 1}, {1}],
+    [8, 3, 5, 0, 6],
 )
-_EQUAL_SIZE = _case([("0", None), ("1", None), (None, "0"), ("1", None), (None, "1")], [{0}, {1}], [5, 2, 8, 1, 3])
+_CHAIN = _case(
+    [("1", None), ("1", "1"), (None, None), ("0", "0"), (None, "1"), ("1", "0")],
+    [{0}, {0, 1}, {1}],
+    [4, 9, 1, 7, 2, 6],
+)
+_EQUAL_SIZE = _case(
+    [("0", None), ("1", None), (None, "0"), ("1", None), (None, "1")],
+    [{0}, {1}],
+    [5, 2, 8, 1, 3],
+)
 
 
 @pytest.mark.parametrize(
@@ -272,8 +282,9 @@ def test_maximal_filter_matches_reference(pair):
 
 def test_two_thousand_rows_with_nulls():
     """2,000 rows x 8 attributes, 30% missing, 4 values per column, under
-    X_1: 48,077 raw blocks, of which 30,296 are maximal. Comparing every
-    block with every kept one took about 110 s here."""
+    X_1: 48,077 raw blocks, of which 30,296 are maximal. The filter that
+    compared every block with every kept one took about 110 s on this
+    input on a 2-core machine, and the bound fails it."""
     schema = Schema(tuple(f"a{i}" for i in range(8)))
     rel = synthetic_relation(schema, 2000, 0.3, seed=1)
     x1 = gen_sequential_keysets(schema)[0]
