@@ -112,7 +112,12 @@ def generate_armstrong(sigma: Sequence[KeySet], schema: Schema) -> Relation:
     Values are generated as ``v<attribute>_<counter>`` and never repeat
     within a column except where the chain repeats them on purpose.
     """
-    report = anti_keys(sigma, schema)
+    return _armstrong_chain(anti_keys(sigma, schema).anti_keys, schema)
+
+
+def _armstrong_chain(aks: Sequence[AttrSet], schema: Schema) -> Relation:
+    """The chain relation of :func:`generate_armstrong` for anti-keys
+    already enumerated, so a caller holding them need not enumerate again."""
     counters = [0] * len(schema)
 
     def fresh(col: int) -> str:
@@ -122,7 +127,7 @@ def generate_armstrong(sigma: Sequence[KeySet], schema: Schema) -> Relation:
 
     width = len(schema)
     rows: list[tuple[str, ...]] = [tuple(fresh(c) for c in range(width))]
-    for anti in report.anti_keys:
+    for anti in aks:
         prev = rows[-1]
         rows.append(tuple(prev[c] if c in anti else fresh(c) for c in range(width)))
     return Relation.from_values(schema, rows)

@@ -9,8 +9,8 @@ Exit codes: 0 when the property holds (satisfied, implied, valid), 1 when
 it does not, 2 on usage or input errors, 3 when a resource limit was hit
 (:class:`~keysets.core.ResourceLimit`). The limits are:
 
-* the key-choice product of ``implies``, 10^6 unless the
-  ``KEYSET_PRODUCT_CAP`` environment variable or ``--cap`` sets it;
+* the nodes the ``implies`` search visits,
+  :data:`~keysets.implication.CHOICE_CAP`;
 * the partial transversal family that ``antikeys`` and ``armstrong``
   grow, :data:`~keysets.armstrong.TRANSVERSAL_CAP` sets;
 * the block rows of one refinement state in ``validate --algo linear``
@@ -22,12 +22,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .armstrong import anti_keys, generate_armstrong
+from .armstrong import _armstrong_chain, anti_keys
 from .bench import (
     GeneratorSpec,
     format_table,
@@ -48,14 +47,7 @@ from .core import (
     parse_keyset_lines,
     parse_schema,
 )
-from .implication import (
-    DEFAULT_CHOICE_CAP,
-    ImplicationInstance,
-    from_3sat,
-    implies,
-    implies_unary,
-    parse_dimacs,
-)
+from .implication import ImplicationInstance, from_3sat, implies, implies_unary, parse_dimacs
 from .inference import first_invalid_step, parse_derivation
 from .ingest import IngestConfig, IngestError, load_csv, read_schema, write_csv
 from .validation import violating_blocks, violating_tuples_naive
@@ -142,11 +134,7 @@ def _cmd_implies(args: argparse.Namespace) -> int:
     schema = _resolve_schema(args.schema)
     sigma = parse_keyset_lines(Path(args.sigma).read_text(encoding="utf-8"), schema)
     phi = parse_keyset(args.phi, schema)
-    if args.cap is not None:
-        cap = args.cap
-    else:
-        cap = int(os.environ.get("KEYSET_PRODUCT_CAP", DEFAULT_CHOICE_CAP))
-    decision = implies(ImplicationInstance(schema, sigma, phi), max_choices=cap)
+    decision = implies(ImplicationInstance(schema, sigma, phi))
     if decision.implied:
         print("implied")
         return EXIT_OK
@@ -193,7 +181,7 @@ def _cmd_armstrong(args: argparse.Namespace) -> int:
     schema = _resolve_schema(args.schema)
     sigma = _read_keyset_family(args.sigma, schema)
     report = anti_keys(sigma, schema)
-    relation = generate_armstrong(sigma, schema)
+    relation = _armstrong_chain(report.anti_keys, schema)
     anti_lines = [format_attr_set(a, schema) for a in report.anti_keys]
     if args.out:
         write_csv(relation, args.out)
@@ -283,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True, help="file with one key set per line")
     p.add_argument("--phi", required=True, help="candidate key-set text")
     p.add_argument("--witness-out", help="write a counterexample csv here")
-    p.add_argument("--cap", type=int, help="key-choice product cap (default 10^6)")
     p.set_defaults(func=_cmd_implies)
 
     p = sub.add_parser("implies-unary", help="implication for a unary phi")
@@ -349,3 +336,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -12,9 +12,10 @@ A failing choice yields a two-row counterexample relation directly.
 and skips every completion of a prefix that is already fine: the chosen
 keys and the keys of ``phi`` inside their union only grow as keys are
 added. The search keeps the canonical order, so its witness is the
-canonically smallest failing choice, and the cap still applies to the
-size of the whole choice product. The problem is coNP-complete, so the
-search stays exponential in the worst case.
+canonically smallest failing choice. The problem is coNP-complete, so
+the search stays exponential in the worst case. Its budget is the work
+it does: it stops after :data:`CHOICE_CAP` nodes, whatever the size of
+the choice product.
 
 An empty ``sigma`` implies nothing: two identical total rows satisfy
 every member of the empty family and violate any key set.
@@ -30,16 +31,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
 from typing import Sequence
 
 from .core import AttrSet, KeySet, KeySetFamily, ParseError, Relation, ResourceLimit, Schema
 
 __all__ = [
     "BRUTEFORCE_ATTR_CAP",
+    "CHOICE_CAP",
     "CnfFormula",
     "CounterexampleWitness",
-    "DEFAULT_CHOICE_CAP",
     "DIMACS_VARIABLE_CAP",
     "Decision",
     "ImplicationInstance",
@@ -52,17 +52,9 @@ __all__ = [
     "satisfiable",
 ]
 
-DEFAULT_CHOICE_CAP = 10**6
+CHOICE_CAP = 10**6
 DIMACS_VARIABLE_CAP = 10**5
 BRUTEFORCE_ATTR_CAP = 12
-
-
-def _check_choice_product(family: Sequence[KeySet], cap: int) -> None:
-    """Raise :class:`ResourceLimit` when choosing one key from each member
-    of ``family`` gives more than ``cap`` choices."""
-    size = prod(len(ks) for ks in family)
-    if size > cap:
-        raise ResourceLimit("choice product", size, cap)
 
 
 @dataclass(frozen=True)
@@ -122,19 +114,18 @@ def build_counterexample(choice: Sequence[AttrSet], inst: ImplicationInstance) -
     return Relation.from_values(schema, [base, second])
 
 
-def implies(inst: ImplicationInstance, *, max_choices: int = DEFAULT_CHOICE_CAP) -> Decision:
+def implies(inst: ImplicationInstance) -> Decision:
     """Decide whether ``sigma`` implies ``phi``; witness a non-implication.
 
     Searches key choices depth first in canonical order and skips every
     completion of a prefix that is already fine, so a returned witness is
     the canonically smallest failing choice, as a walk over the whole
-    product would find. Raises :class:`ResourceLimit` when the product of
-    the member sizes exceeds ``max_choices``, however few choices the
-    search would visit.
+    product would find. Raises :class:`ResourceLimit` once the search
+    has visited more than :data:`CHOICE_CAP` nodes, however large or
+    small the choice product is.
     """
     if not inst.sigma:
         return Decision(False, CounterexampleWitness((), build_counterexample((), inst)))
-    _check_choice_product(inst.sigma, max_choices)
     picks, _ = _search(inst)
     if picks is None:
         return Decision(True, None)
@@ -155,7 +146,8 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
     ``covered(union)``, the union of the keys of ``phi`` inside the
     prefix's union: both only grow as keys are added. Attribute sets are
     int bitmasks. While ``covered`` stays as it was at the parent, only
-    the new key needs the test.
+    the new key needs the test. Raises :class:`ResourceLimit` on node
+    ``CHOICE_CAP + 1``.
     """
     phi = [_mask(y) for y in inst.phi.sorted_keys]
     members = [[_mask(x) for x in ks.sorted_keys] for ks in inst.sigma]
@@ -165,6 +157,7 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
     unions = [0] * (depth + 1)
     covers = [0] * (depth + 1)
     nodes = 0
+    cap = CHOICE_CAP
     d = 0
     while d >= 0:
         picks[d] += 1
@@ -173,6 +166,8 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
             d -= 1
             continue
         nodes += 1
+        if nodes > cap:
+            raise ResourceLimit("search nodes", nodes, cap)
         x = chosen[d] = members[d][picks[d]]
         union = unions[d] | x
         covered = covers[d]

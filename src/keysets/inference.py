@@ -28,6 +28,7 @@ occurrence is a dictionary lookup.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -37,13 +38,14 @@ from .core import (
     KeySet,
     KeySetFamily,
     ParseError,
+    ResourceLimit,
     Schema,
     _QUOTED_BODY,
     _parse_sets,
     format_attr_name,
     parse_schema,
 )
-from .implication import DEFAULT_CHOICE_CAP, _check_choice_product
+from . import implication
 
 __all__ = [
     "CompositionParams",
@@ -156,10 +158,6 @@ class CompositionParams:
 
     def as_mapping(self) -> dict[tuple[AttrSet, ...], AttrSet]:
         return dict(self.entries)
-
-    @property
-    def arity(self) -> int:
-        return len(self.entries[0][0]) if self.entries else 0
 
 
 StepParams = UpwardClosureParams | RefinementParams | CompositionParams
@@ -403,9 +401,7 @@ def simulate_nary(
 # Deriving an implied key set.
 
 
-def derive_keyset(
-    premises: Sequence[KeySet], goal: KeySet, *, max_choices: int = DEFAULT_CHOICE_CAP
-) -> Derivation:
+def derive_keyset(premises: Sequence[KeySet], goal: KeySet) -> Derivation:
     """Derivation of an implied ``goal``: one n-ary Composition, then
     Refinements, then at most one Upward closure.
 
@@ -414,12 +410,16 @@ def derive_keyset(
     refinements then split those unions back into the goal keys. Raises
     :class:`RuleError` when ``goal`` is not implied, and
     :class:`ResourceLimit`, before enumerating any tuple, when the product
-    of the premise sizes exceeds ``max_choices``.
+    of the premise sizes exceeds :data:`~keysets.implication.CHOICE_CAP`:
+    unlike the pruned search of ``implies``, this walks the whole product.
     """
     premises = tuple(premises)
     if not premises:
         raise RuleError("an empty premise family implies no key set")
-    _check_choice_product(premises, max_choices)
+    cap = implication.CHOICE_CAP
+    size = math.prod(len(p) for p in premises)
+    if size > cap:
+        raise ResourceLimit("choice product", size, cap)
     goal_keys = goal.sorted_keys
     mapping: dict[tuple[AttrSet, ...], AttrSet] = {}
     parts_for: dict[AttrSet, tuple[AttrSet, ...]] = {}

@@ -11,6 +11,9 @@ resource limit was hit.
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -27,6 +30,8 @@ from keysets import (
     block_trace,
     derive_keyset,
     format_derivation,
+    format_keyset,
+    format_schema,
     from_3sat,
     gen_random_keyset,
     gen_sequential_keysets,
@@ -38,10 +43,11 @@ from keysets import (
     satisfies,
     violating_blocks,
 )
-from keysets import validation
+from keysets import implication, validation
 from keysets.armstrong import TRANSVERSAL_CAP
 from keysets.bench import keysets_from_spec
 from keysets.cli import run_cli
+from keysets.implication import CHOICE_CAP
 
 WARD_SCHEMA_TEXT = "room,name,address,injury,time"
 SIGMA_TEXT = "{{room,time},{injury,time}}\n{{name,time},{injury,time}}\n"
@@ -196,31 +202,36 @@ def test_implies_empty_sigma_file(tmp_path, capsys):
     assert witness.rows[0].values == witness.rows[1].values
 
 
-def test_implies_cap_flag(sigma_file, capsys):
-    code = run_cli(
-        [
-            "implies",
-            "--schema",
-            WARD_SCHEMA_TEXT,
-            "--sigma",
-            sigma_file,
-            "--phi",
-            PHI_PRIME_TEXT,
-            "--cap",
-            "1",
-        ]
-    )
-    assert code == 3
-    assert "choice product has 4 elements, cap is 1" in capsys.readouterr().err
-
-
-def test_implies_cap_env(sigma_file, capsys, monkeypatch):
-    monkeypatch.setenv("KEYSET_PRODUCT_CAP", "2")
-    argv = ["implies", "--schema", WARD_SCHEMA_TEXT, "--sigma", sigma_file, "--phi", X_TEXT]
+def test_implies_node_cap_exits_3(sigma_file, tmp_path, monkeypatch, capsys):
+    # X_10 of the sequential family over 11 attributes against the others
+    schema = parse_schema(",".join(f"c{i}" for i in range(11)))
+    family = [format_keyset(ks, schema) for ks in gen_sequential_keysets(schema)]
+    sequential = tmp_path / "sequential.txt"
+    sequential.write_text("\n".join(family[:9] + family[10:]) + "\n", encoding="utf-8")
+    started = time.perf_counter()
+    argv = ["implies", "--schema", format_schema(schema), "--sigma", str(sequential), "--phi", family[9]]
     assert run_cli(argv) == 3
-    # an explicit --cap wins over the environment
-    assert run_cli(argv + ["--cap", "1000"]) == 0
+    assert time.perf_counter() - started < 5
+    message = f"error: search nodes has {CHOICE_CAP + 1} elements, cap is {CHOICE_CAP}\n"
+    assert capsys.readouterr() == ("", message)
+    # on the ward family the search visits 4 nodes before it finds the failing choice
+    argv = ["implies", "--schema", WARD_SCHEMA_TEXT, "--sigma", sigma_file, "--phi", PHI_PRIME_TEXT]
+    monkeypatch.setattr(implication, "CHOICE_CAP", 3)
+    assert run_cli(argv) == 3
+    assert capsys.readouterr() == ("", "error: search nodes has 4 elements, cap is 3\n")
+    monkeypatch.setattr(implication, "CHOICE_CAP", 4)
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().out.startswith("not implied\n")
+    assert run_cli(argv + ["--cap", "1000"]) == 2  # the cap is not an option
     capsys.readouterr()
+
+
+def test_module_entry_points():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for module in ("keysets", "keysets.cli"):
+        argv = ["-m", module, "gen-keysets", "--schema", "a,b", "--mode", "sequential"]
+        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "{{a},{b}}\n{{a,b}}\n")
 
 
 def test_implies_schema_from_csv_header(ward_csv, sigma_file, capsys):
@@ -609,8 +620,7 @@ def _argv(draw):
         report = draw(st.sampled_from(("table", "json")))
         return ["validate", "--data", "@data.csv", *target, "--algo", algo, "--report", report, *draw(ingest)]
     if command in ("implies", "implies-unary"):
-        cap = ["--cap", draw(_small)] if command == "implies" and draw(st.booleans()) else []
-        return [command, "--schema", draw(spec), "--sigma", "@sigma.txt", "--phi", draw(_keyset), *cap]
+        return [command, "--schema", draw(spec), "--sigma", "@sigma.txt", "--phi", draw(_keyset)]
     if command == "check-proof":
         return [command, "--derivation", "@proof.txt"]
     if command in ("armstrong", "antikeys"):

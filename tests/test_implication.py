@@ -28,6 +28,7 @@ from keysets import (
     Schema,
     build_counterexample,
     from_3sat,
+    gen_sequential_keysets,
     implies,
     implies_bruteforce,
     implies_unary,
@@ -35,7 +36,8 @@ from keysets import (
     satisfiable,
     satisfies,
 )
-from keysets.implication import BRUTEFORCE_ATTR_CAP, DIMACS_VARIABLE_CAP, _search
+from keysets import implication
+from keysets.implication import BRUTEFORCE_ATTR_CAP, CHOICE_CAP, DIMACS_VARIABLE_CAP, _search
 
 # --------------------------------------------------------------------------
 # The running example: {x1, x2} implies x but not phi_prime.
@@ -108,13 +110,15 @@ def test_instance_rejects_oversized_keyset(ward_schema, x1):
         ImplicationInstance(ward_schema, (x1,), KeySet.of({9}))
 
 
-def test_choice_product_cap(ward_schema, x1, x2, phi_prime):
+def test_search_node_cap(ward_schema, x1, x2, phi_prime, monkeypatch):
+    # the search visits 4 nodes before it finds the failing choice
     inst = ImplicationInstance(ward_schema, (x1, x2), phi_prime)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 3)
     with pytest.raises(ResourceLimit) as err:
-        implies(inst, max_choices=3)
-    assert err.value.size == 4
-    assert err.value.cap == 3
-    assert implies(inst, max_choices=4).implied is False
+        implies(inst)
+    assert (err.value.limit, err.value.size, err.value.cap) == ("search nodes", 4, 3)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 4)
+    assert implies(inst).implied is False
 
 
 # --------------------------------------------------------------------------
@@ -255,6 +259,51 @@ def test_search_work_count_on_unsatisfiable_formula():
     # the product has 2**15 = 32,768 choices; the search visits 1,580 nodes
     assert nodes == 1580
     assert implies(inst).implied
+
+
+def sequential_instance(n: int) -> ImplicationInstance:
+    """X_{n-1} of the sequential family over n attributes against the
+    other members: implied, with a choice product of n!/2."""
+    schema = Schema(tuple(f"c{i}" for i in range(n)))
+    family = gen_sequential_keysets(schema)
+    return ImplicationInstance(schema, family[: n - 2] + family[n - 1 :], family[n - 2])
+
+
+def test_search_budget_counts_nodes_not_choices():
+    # the product of member sizes is about 1.8 million, past the cap,
+    # but the search settles the instance inside its node budget
+    inst = sequential_instance(10)
+    assert _search(inst) == (None, 930_418)
+    assert implies(inst).implied
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimit) as err:
+        implies(sequential_instance(11))
+    assert time.perf_counter() - started < 5
+    assert err.value.limit == "search nodes"
+    assert (err.value.size, err.value.cap) == (CHOICE_CAP + 1, CHOICE_CAP)
+
+
+def planted_3cnf(seed: int, num_vars: int, num_clauses: int) -> CnfFormula:
+    """Random 3-CNF whose clauses all hold under one random assignment."""
+    rng = random.Random(seed)
+    variables = tuple(f"x{i}" for i in range(1, num_vars + 1))
+    truth = {v: rng.random() < 0.5 for v in variables}
+    clauses: list[frozenset] = []
+    while len(clauses) < num_clauses:
+        clause = frozenset((v, rng.random() < 0.5) for v in rng.sample(variables, 3))
+        if any(truth[v] == positive for v, positive in clause):
+            clauses.append(clause)
+    return CnfFormula(variables, tuple(clauses))
+
+
+def test_satisfiable_formula_past_the_choice_product():
+    # 2**40 key choices; the search finds a failing one after 46 nodes
+    inst = from_3sat(planted_3cnf(4, 40, 80))
+    assert len(inst.sigma) == 40
+    assert _search(inst)[1] == 46
+    decision = implies(inst)
+    assert not decision.implied
+    assert witness_refutes(inst, decision.witness)  # satisfies sigma, violates phi
 
 
 def test_bruteforce_cap():

@@ -35,7 +35,8 @@ from keysets import (
     parse_derivation,
     simulate_nary,
 )
-from keysets.implication import DEFAULT_CHOICE_CAP
+from keysets import implication
+from keysets.implication import CHOICE_CAP
 from keysets.inference import (
     RULE_COMPOSITION,
     RULE_NARY,
@@ -327,23 +328,32 @@ def test_derive_rejects_empty_premises(x1):
         derive_keyset((), x1)
 
 
-def test_derive_choice_product_cap():
+def test_derive_choice_product_cap(monkeypatch):
     # three premises of two keys each: a product of 8 tuples
     family = (KeySet.of(A, B), KeySet.of(A, C), KeySet.of(A, D))
     goal = KeySet.of(A, B | C | D)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 7)
     with pytest.raises(ResourceLimit) as err:
-        derive_keyset(family, goal, max_choices=7)
-    assert (err.value.size, err.value.cap) == (8, 7)
-    assert check_derivation(derive_keyset(family, goal, max_choices=8))
+        derive_keyset(family, goal)
+    assert (err.value.limit, err.value.size, err.value.cap) == ("choice product", 8, 7)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 8)
+    assert check_derivation(derive_keyset(family, goal))
 
 
-def test_derive_cap_fails_before_enumerating():
+def test_derive_cap_fails_before_enumerating(monkeypatch):
     # the goal is refuted by the first key tuple, so only a check made
     # before enumerating can raise the cap error
     family = tuple(KeySet.of({2 * i}, {2 * i + 1}) for i in range(40))
+    goal = KeySet.of(frozenset(range(80)))
     with pytest.raises(ResourceLimit) as err:
-        derive_keyset(family, KeySet.of(frozenset(range(80))))
-    assert (err.value.size, err.value.cap) == (2**40, DEFAULT_CHOICE_CAP)
+        derive_keyset(family, goal)
+    assert (err.value.size, err.value.cap) == (2**40, CHOICE_CAP)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 2**40 - 1)
+    with pytest.raises(ResourceLimit):
+        derive_keyset(family, goal)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 2**40)
+    with pytest.raises(RuleError, match="not implied"):
+        derive_keyset(family, goal)
 
 
 def test_derivation_shape_is_nary_refinements_upward():
