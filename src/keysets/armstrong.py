@@ -117,7 +117,7 @@ def generate_armstrong(sigma: Sequence[KeySet], schema: Schema) -> Relation:
 
 def _armstrong_chain(aks: Sequence[AttrSet], schema: Schema) -> Relation:
     """The chain relation of :func:`generate_armstrong` for anti-keys
-    already enumerated, so a caller holding them need not enumerate again."""
+    already enumerated; ``keysets armstrong`` passes the ones it prints."""
     counters = [0] * len(schema)
 
     def fresh(col: int) -> str:

@@ -9,8 +9,8 @@ Exit codes: 0 when the property holds (satisfied, implied, valid), 1 when
 it does not, 2 on usage or input errors, 3 when a resource limit was hit
 (:class:`~keysets.core.ResourceLimit`). The limits are:
 
-* the nodes the ``implies`` search visits,
-  :data:`~keysets.implication.CHOICE_CAP`;
+* the nodes the ``implies`` search visits when the key-choice product
+  exceeds the same number, :data:`~keysets.implication.CHOICE_CAP`;
 * the partial transversal family that ``antikeys`` and ``armstrong``
   grow, :data:`~keysets.armstrong.TRANSVERSAL_CAP` sets;
 * the block rows of one refinement state in ``validate --algo linear``

@@ -14,8 +14,9 @@ keys and the keys of ``phi`` inside their union only grow as keys are
 added. The search keeps the canonical order, so its witness is the
 canonically smallest failing choice. The problem is coNP-complete, so
 the search stays exponential in the worst case. Its budget is the work
-it does: it stops after :data:`CHOICE_CAP` nodes, whatever the size of
-the choice product.
+it does: it stops after :data:`CHOICE_CAP` nodes, unless the choice
+product is within that cap too, in which case the whole tree (at most
+``len(sigma)`` times the product nodes) is searched.
 
 An empty ``sigma`` implies nothing: two identical total rows satisfy
 every member of the empty family and violate any key set.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 from .core import AttrSet, KeySet, KeySetFamily, ParseError, Relation, ResourceLimit, Schema
@@ -121,8 +123,8 @@ def implies(inst: ImplicationInstance) -> Decision:
     completion of a prefix that is already fine, so a returned witness is
     the canonically smallest failing choice, as a walk over the whole
     product would find. Raises :class:`ResourceLimit` once the search
-    has visited more than :data:`CHOICE_CAP` nodes, however large or
-    small the choice product is.
+    has visited more than :data:`CHOICE_CAP` nodes, unless the choice
+    product is within the cap too: then the whole tree is searched.
     """
     if not inst.sigma:
         return Decision(False, CounterexampleWitness((), build_counterexample((), inst)))
@@ -147,7 +149,7 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
     prefix's union: both only grow as keys are added. Attribute sets are
     int bitmasks. While ``covered`` stays as it was at the parent, only
     the new key needs the test. Raises :class:`ResourceLimit` on node
-    ``CHOICE_CAP + 1``.
+    ``CHOICE_CAP + 1`` when the choice product exceeds ``CHOICE_CAP``.
     """
     phi = [_mask(y) for y in inst.phi.sorted_keys]
     members = [[_mask(x) for x in ks.sorted_keys] for ks in inst.sigma]
@@ -158,6 +160,7 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
     covers = [0] * (depth + 1)
     nodes = 0
     cap = CHOICE_CAP
+    product = prod(len(keys) for keys in members)
     d = 0
     while d >= 0:
         picks[d] += 1
@@ -166,7 +169,7 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
             d -= 1
             continue
         nodes += 1
-        if nodes > cap:
+        if nodes > cap and product > cap:
             raise ResourceLimit("search nodes", nodes, cap)
         x = chosen[d] = members[d][picks[d]]
         union = unions[d] | x
@@ -359,11 +362,8 @@ def from_3sat(formula: CnfFormula) -> ImplicationInstance:
     sigma = tuple(
         KeySet.of({schema.index(var)}, {schema.index(f"not_{var}")}) for var in used
     )
-    phi_keys = set()
-    for clause in formula.clauses:
-        phi_keys.add(
-            frozenset(
-                schema.index(var if pos else f"not_{var}") for var, pos in clause
-            )
-        )
+    phi_keys = {
+        frozenset(schema.index(var if pos else f"not_{var}") for var, pos in clause)
+        for clause in formula.clauses
+    }
     return ImplicationInstance(schema, sigma, KeySet(frozenset(phi_keys)))

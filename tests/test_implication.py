@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import keysets_st, pair_state, random_family, random_keyset, reference_implies, witness_refutes
 from keysets import (
     CnfFormula,
+    Decision,
     ImplicationInstance,
     KeySet,
     ParseError,
@@ -281,6 +282,29 @@ def test_search_budget_counts_nodes_not_choices():
     assert time.perf_counter() - started < 5
     assert err.value.limit == "search nodes"
     assert (err.value.size, err.value.cap) == (CHOICE_CAP + 1, CHOICE_CAP)
+
+
+def phi_last_instance(pairs: int) -> ImplicationInstance:
+    """``pairs`` members {{a_i},{b_i}}, then {{y}}, against phi = {{y}}:
+    implied, but nothing is pruned before the last member, so the search
+    visits 2**(pairs + 1) - 2 + 2**pairs nodes for a product of 2**pairs."""
+    schema = Schema((*(f"{c}{i}" for i in range(pairs) for c in "ab"), "y"))
+    y = KeySet.of({2 * pairs})
+    sigma = tuple(KeySet.of({2 * i}, {2 * i + 1}) for i in range(pairs))
+    return ImplicationInstance(schema, (*sigma, y), y)
+
+
+def test_search_budget_spares_products_within_the_cap(monkeypatch):
+    # the node budget never refuses an instance whose choice product is
+    # inside the cap, however many more nodes than choices it visits
+    monkeypatch.setattr(implication, "CHOICE_CAP", 2**10)
+    assert _search(phi_last_instance(10)) == (None, 2**11 - 2 + 2**10)
+    with pytest.raises(ResourceLimit) as err:
+        implies(phi_last_instance(11))
+    assert (err.value.limit, err.value.size, err.value.cap) == ("search nodes", 2**10 + 1, 2**10)
+    monkeypatch.undo()
+    # product 2**19 <= CHOICE_CAP, and about 1.57 million nodes
+    assert implies(phi_last_instance(19)) == Decision(True, None)
 
 
 def planted_3cnf(seed: int, num_vars: int, num_clauses: int) -> CnfFormula:
