@@ -1,16 +1,18 @@
 """Command-line interface.
 
 Subcommands cover validation (``validate``), implication (``implies``,
-``implies-unary``), derivation checking (``check-proof``), Armstrong
-relation generation (``armstrong``, ``antikeys``), workload generation
-(``gen-keysets``, ``from-3sat``) and timing (``bench``).
+which decides a unary goal in at most one node per member of sigma),
+derivation checking (``check-proof``), Armstrong relation generation
+(``armstrong``, ``antikeys``), workload generation (``gen-keysets``,
+``from-3sat``) and timing (``bench``).
 
 Exit codes: 0 when the property holds (satisfied, implied, valid), 1 when
 it does not, 2 on usage or input errors, 3 when a resource limit was hit
 (:class:`~keysets.core.ResourceLimit`). The limits are:
 
-* the nodes the ``implies`` search visits when the key-choice product
-  exceeds the same number, :data:`~keysets.implication.CHOICE_CAP`;
+* the nodes the ``implies`` search visits when the product of its kept
+  keys' counts exceeds the same number,
+  :data:`~keysets.implication.CHOICE_CAP`;
 * the partial transversal family that ``antikeys`` and ``armstrong``
   grow, :data:`~keysets.armstrong.TRANSVERSAL_CAP` sets;
 * the block rows of one refinement state in ``validate --algo linear``
@@ -20,8 +22,8 @@ it does not, 2 on usage or input errors, 3 when a resource limit was hit
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -47,7 +49,7 @@ from .core import (
     parse_keyset_lines,
     parse_schema,
 )
-from .implication import ImplicationInstance, from_3sat, implies, implies_unary, parse_dimacs
+from .implication import ImplicationInstance, from_3sat, implies, parse_dimacs
 from .inference import first_invalid_step, parse_derivation
 from .ingest import IngestConfig, IngestError, load_csv, read_schema, write_csv
 from .validation import violating_blocks, violating_tuples_naive
@@ -61,8 +63,9 @@ EXIT_CAP = 3
 
 
 def _resolve_schema(spec: str) -> Schema:
-    """Inline comma list, or the header of an existing CSV file."""
-    if not Path(spec).is_file():
+    """Inline comma list, or the header of an existing CSV file; a spec
+    too long to be a path is a list (``os.path.isfile`` is then false)."""
+    if not os.path.isfile(spec):
         return parse_schema(spec)
     try:
         return read_schema(spec)
@@ -147,20 +150,7 @@ def _cmd_implies(args: argparse.Namespace) -> int:
         write_csv(witness.relation, args.witness_out)
         print(f"witness written to {args.witness_out}")
     else:
-        buf = io.StringIO()
-        write_csv(witness.relation, buf)
-        sys.stdout.write(buf.getvalue())
-    return EXIT_NO
-
-
-def _cmd_implies_unary(args: argparse.Namespace) -> int:
-    schema = _resolve_schema(args.schema)
-    sigma = parse_keyset_lines(Path(args.sigma).read_text(encoding="utf-8"), schema)
-    phi = parse_keyset(args.phi, schema)
-    if implies_unary(sigma, phi):
-        print("implied")
-        return EXIT_OK
-    print("not implied")
+        write_csv(witness.relation, sys.stdout)
     return EXIT_NO
 
 
@@ -191,9 +181,7 @@ def _cmd_armstrong(args: argparse.Namespace) -> int:
     else:
         for line in anti_lines:
             print(line, file=sys.stderr)
-        buf = io.StringIO()
-        write_csv(relation, buf)
-        sys.stdout.write(buf.getvalue())
+        write_csv(relation, sys.stdout)
     return EXIT_OK
 
 
@@ -272,12 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help="candidate key-set text")
     p.add_argument("--witness-out", help="write a counterexample csv here")
     p.set_defaults(func=_cmd_implies)
-
-    p = sub.add_parser("implies-unary", help="implication for a unary phi")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--sigma", required=True)
-    p.add_argument("--phi", required=True)
-    p.set_defaults(func=_cmd_implies_unary)
 
     p = sub.add_parser("check-proof", help="verify a derivation file")
     p.add_argument("--derivation", required=True)

@@ -8,24 +8,25 @@ chosen keys; the choice is fine iff some chosen key is contained in the
 union of that collection. If every choice is fine, ``phi`` is implied.
 A failing choice yields a two-row counterexample relation directly.
 
-``implies`` picks keys depth first, one member of ``sigma`` at a time,
-and skips every completion of a prefix that is already fine: the chosen
-keys and the keys of ``phi`` inside their union only grow as keys are
-added. The search keeps the canonical order, so its witness is the
-canonically smallest failing choice. The problem is coNP-complete, so
-the search stays exponential in the worst case. Its budget is the work
-it does: it stops after :data:`CHOICE_CAP` nodes, unless the choice
-product is within that cap too, in which case the whole tree (at most
-``len(sigma)`` times the product nodes) is searched.
+``implies`` drops each key inside the keys of ``phi`` it contains (any
+choice holding it is fine), then picks the kept keys depth first and
+skips every completion of a prefix that is already fine: the chosen keys
+and the keys of ``phi`` inside their union only grow as keys are added.
+The canonical order is kept, so the witness is the canonically smallest
+failing choice. For a unary ``phi`` the drop is the paper's criterion
+(a member left with no key), and no kept key is ever covered, so at most
+``len(sigma)`` nodes are visited. In general the problem is
+coNP-complete; the search stops after :data:`CHOICE_CAP` nodes, unless
+the kept keys' choice product is within that cap too: then the whole
+tree (at most ``len(sigma)`` times the product nodes) is searched.
 
 An empty ``sigma`` implies nothing: two identical total rows satisfy
 every member of the empty family and violate any key set.
 
-Also here: the unary-fragment decider (quadratic instead of exponential
-when ``phi`` contains only singleton keys), a brute-force oracle that
-enumerates all behaviorally distinct two-row relations, and a reduction
-from 3-CNF formulas producing instances whose implication answer is the
-unsatisfiability of the formula.
+Also here: the paper's unary rule without a witness, a brute-force
+oracle that enumerates all behaviorally distinct two-row relations, and
+a reduction from 3-CNF formulas producing instances whose implication
+answer is the unsatisfiability of the formula.
 """
 
 from __future__ import annotations
@@ -119,12 +120,11 @@ def build_counterexample(choice: Sequence[AttrSet], inst: ImplicationInstance) -
 def implies(inst: ImplicationInstance) -> Decision:
     """Decide whether ``sigma`` implies ``phi``; witness a non-implication.
 
-    Searches key choices depth first in canonical order and skips every
-    completion of a prefix that is already fine, so a returned witness is
-    the canonically smallest failing choice, as a walk over the whole
-    product would find. Raises :class:`ResourceLimit` once the search
-    has visited more than :data:`CHOICE_CAP` nodes, unless the choice
-    product is within the cap too: then the whole tree is searched.
+    Runs the search the module docstring describes, so a returned witness
+    is the canonically smallest failing choice, as a walk over the whole
+    product would find, and a unary ``phi`` takes at most ``len(sigma)``
+    nodes. Raises :class:`ResourceLimit` past :data:`CHOICE_CAP` nodes
+    when the product of the kept keys' counts is past it too.
     """
     if not inst.sigma:
         return Decision(False, CounterexampleWitness((), build_counterexample((), inst)))
@@ -139,20 +139,35 @@ def _mask(attrs: AttrSet) -> int:
     return sum(1 << a for a in attrs)
 
 
+def _covered(union: int, phi: list[int]) -> int:
+    """``covered(union)``: the union of the keys of ``phi`` inside ``union``."""
+    covered = 0
+    for y in phi:
+        if y & union == y:
+            covered |= y
+    return covered
+
+
 def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
     """The first failing choice, as one key index per member of a
     non-empty ``sigma``, or ``None``; and the number of nodes visited.
 
-    A node picks the next member's key after a prefix. The prefix is fine,
-    and its subtree skipped, once one of its keys lies inside
-    ``covered(union)``, the union of the keys of ``phi`` inside the
-    prefix's union: both only grow as keys are added. Attribute sets are
-    int bitmasks. While ``covered`` stays as it was at the parent, only
-    the new key needs the test. Raises :class:`ResourceLimit` on node
-    ``CHOICE_CAP + 1`` when the choice product exceeds ``CHOICE_CAP``.
+    Keys ``x ⊆ covered(x)`` are dropped first, keeping the order of the
+    rest; ``(None, 0)`` if a member loses every key. A node picks the next
+    member's kept key after a prefix. The prefix is fine, and its subtree
+    skipped, once one of its keys lies inside ``covered(union)``, the
+    union of the keys of ``phi`` inside the prefix's union: both only grow
+    as keys are added, so a dropped key makes any choice fine. Attribute
+    sets are int bitmasks. While ``covered`` stays as it was at the parent,
+    only the new key needs the test. Raises :class:`ResourceLimit` on node
+    ``CHOICE_CAP + 1`` when the kept keys' choice product exceeds it.
     """
     phi = [_mask(y) for y in inst.phi.sorted_keys]
-    members = [[_mask(x) for x in ks.sorted_keys] for ks in inst.sigma]
+    masks = [[_mask(x) for x in ks.sorted_keys] for ks in inst.sigma]
+    index = [[i for i, x in enumerate(keys) if x & ~_covered(x, phi)] for keys in masks]
+    if not all(index):
+        return None, 0
+    members = [[keys[i] for i in ix] for keys, ix in zip(masks, index)]
     depth = len(members)
     picks = [-1] * depth
     chosen = [0] * depth
@@ -173,16 +188,13 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
             raise ResourceLimit("search nodes", nodes, cap)
         x = chosen[d] = members[d][picks[d]]
         union = unions[d] | x
-        covered = covers[d]
-        for y in phi:
-            if y & union == y:
-                covered |= y
+        covered = _covered(union, phi)
         if x & covered == x:
             continue
         if covered != covers[d] and any(c & covered == c for c in chosen[:d]):
             continue
         if d + 1 == depth:
-            return tuple(picks), nodes
+            return tuple(ix[p] for ix, p in zip(index, picks)), nodes
         unions[d + 1] = union
         covers[d + 1] = covered
         d += 1
@@ -194,7 +206,8 @@ def implies_unary(sigma: Sequence[KeySet], phi: KeySet) -> bool:
 
     Implied iff the attribute union of some member of ``sigma`` sits
     inside the attribute set of ``phi``. Cost is linear in the total size
-    of ``sigma`` for a fixed ``phi``.
+    of ``sigma`` for a fixed ``phi``. :func:`implies` applies the same
+    criterion, with a witness; this stays as the paper's rule and a check.
     """
     if not phi.is_unary():
         raise ValueError("phi must contain only singleton keys")

@@ -75,9 +75,10 @@ def schema_from_header(header: Iterable[str]) -> Schema:
 def _records(source: str | Path | io.TextIOBase, config: IngestConfig) -> Iterator[list[str]]:
     """The CSV records of a stream, or of a path opened and closed here;
     text that is not UTF-8, or that the csv module rejects, raises
-    :class:`IngestError`."""
+    :class:`IngestError`. A path is read as UTF-8 with any leading
+    byte-order mark dropped; a stream is read as given."""
     is_path = isinstance(source, (str, Path))
-    with open(source, newline="", encoding="utf-8") if is_path else nullcontext(source) as fh:
+    with open(source, newline="", encoding="utf-8-sig") if is_path else nullcontext(source) as fh:
         try:
             yield from csv.reader(fh, delimiter=config.delimiter)
         except (csv.Error, UnicodeDecodeError) as exc:

@@ -24,6 +24,7 @@ from keysets import (
     BlockSet,
     CounterexampleWitness,
     Decision,
+    ImplicationInstance,
     KeySet,
     ParseError,
     Relation,
@@ -198,6 +199,18 @@ def witness_refutes(inst, witness) -> bool:
     """The witness relation satisfies every premise and violates phi."""
     rel = witness.relation
     return all(satisfies(rel, ks) for ks in inst.sigma) and not satisfies(rel, inst.phi)
+
+
+def pair_c_instance(pairs: int):
+    """``pairs`` members {{a_i},{b_i}}, then {{c}}, against
+    phi = {{a_0,c},{b_0,c}}: implied, but no key lies inside the keys of
+    phi it contains and no prefix is fine before ``c`` is chosen, so the
+    search visits 2**(pairs + 1) - 2 + 2**pairs nodes for a product of
+    2**pairs."""
+    schema = Schema((*(f"{x}{i}" for i in range(pairs) for x in "ab"), "c"))
+    c = 2 * pairs
+    sigma = tuple(KeySet.of({2 * i}, {2 * i + 1}) for i in range(pairs))
+    return ImplicationInstance(schema, (*sigma, KeySet.of({c})), KeySet.of({0, c}, {1, c}))
 
 
 def random_keyset(rng: random.Random, width: int, max_keys: int = 3, max_key_size: int = 3) -> KeySet:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import WARD_CSV
+from conftest import WARD_CSV, pair_c_instance
 from keysets import (
     GeneratorSpec,
     KeySet,
@@ -202,26 +202,28 @@ def test_implies_empty_sigma_file(tmp_path, capsys):
     assert witness.rows[0].values == witness.rows[1].values
 
 
-def test_implies_node_cap_exits_3(sigma_file, tmp_path, monkeypatch, capsys):
-    # X_10 of the sequential family over 11 attributes against the others
-    schema = parse_schema(",".join(f"c{i}" for i in range(11)))
-    family = [format_keyset(ks, schema) for ks in gen_sequential_keysets(schema)]
-    sequential = tmp_path / "sequential.txt"
-    sequential.write_text("\n".join(family[:9] + family[10:]) + "\n", encoding="utf-8")
+def _implies_argv(inst, tmp_path) -> list[str]:
+    sigma = tmp_path / "sigma_instance.txt"
+    sigma.write_text("".join(format_keyset(ks, inst.schema) + "\n" for ks in inst.sigma), encoding="utf-8")
+    schema = format_schema(inst.schema)
+    return ["implies", "--schema", schema, "--sigma", str(sigma), "--phi", format_keyset(inst.phi, inst.schema)]
+
+
+def test_implies_node_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # 20 pairs {{a_i},{b_i}}, then {{c}}: a product of 2**20, nothing pruned early
     started = time.perf_counter()
-    argv = ["implies", "--schema", format_schema(schema), "--sigma", str(sequential), "--phi", family[9]]
-    assert run_cli(argv) == 3
+    assert run_cli(_implies_argv(pair_c_instance(20), tmp_path)) == 3
     assert time.perf_counter() - started < 5
     message = f"error: search nodes has {CHOICE_CAP + 1} elements, cap is {CHOICE_CAP}\n"
     assert capsys.readouterr() == ("", message)
-    # on the ward family the search visits 4 nodes before it finds the failing choice
-    argv = ["implies", "--schema", WARD_SCHEMA_TEXT, "--sigma", sigma_file, "--phi", PHI_PRIME_TEXT]
-    monkeypatch.setattr(implication, "CHOICE_CAP", 3)
+    # with 3 pairs, a product of 8, the search visits 22 nodes
+    argv = _implies_argv(pair_c_instance(3), tmp_path)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 7)
     assert run_cli(argv) == 3
-    assert capsys.readouterr() == ("", "error: search nodes has 4 elements, cap is 3\n")
-    monkeypatch.setattr(implication, "CHOICE_CAP", 4)
-    assert run_cli(argv) == 1
-    assert capsys.readouterr().out.startswith("not implied\n")
+    assert capsys.readouterr() == ("", "error: search nodes has 8 elements, cap is 7\n")
+    monkeypatch.setattr(implication, "CHOICE_CAP", 8)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "implied\n"
     assert run_cli(argv + ["--cap", "1000"]) == 2  # the cap is not an option
     capsys.readouterr()
 
@@ -260,6 +262,30 @@ def test_schema_spec_not_a_file_is_parsed(spec, message, sigma_file, capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_long_inline_schema_is_parsed(capsys):
+    """A list longer than a file name may be is still a list, not an
+    error from the file system."""
+    names = [f"attr{i}" for i in range(60)]
+    spec = ",".join(names)
+    assert len(spec) > 255
+    with tempfile.TemporaryDirectory() as tmp:
+        sigma = Path(tmp, "sigma.txt")
+        sigma.write_text("{{attr0,attr59}}\n", encoding="utf-8")
+        assert run_cli(["implies", "--schema", spec, "--sigma", str(sigma), "--phi", "{{attr59}}"]) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == ["not implied", "failing choice: {attr0,attr59}", spec]
+    assert run_cli(["gen-keysets", "--schema", spec, "--mode", "sequential", "--param", "60"]) == 0
+    assert capsys.readouterr() == ("{{%s}}\n" % spec, "")
+
+
+def test_validate_csv_with_byte_order_mark(tmp_path, capsys):
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbfroom,time\n1,2\n1,3\n")
+    assert run_cli(["validate", "--data", str(data), "--keyset", "{{room}}"]) == 1
+    assert capsys.readouterr().out == "{{room}}: violated\n  violating rows: 0 1\n  block: 0 1\n"
+    assert run_cli(["validate", "--data", str(data), "--keyset", "{{time}}"]) == 0
+    assert capsys.readouterr().out == "{{time}}: satisfied\n"
+
+
 def test_implies_missing_sigma_file(tmp_path, capsys):
     code = run_cli(
         ["implies", "--schema", "a,b", "--sigma", str(tmp_path / "gone.txt"), "--phi", "{{a}}"]
@@ -268,18 +294,17 @@ def test_implies_missing_sigma_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-# --------------------------------------------------------------------------
-# implies-unary
-
-
-def test_implies_unary_cli(sigma_file, capsys):
-    base = ["implies-unary", "--schema", WARD_SCHEMA_TEXT, "--sigma", sigma_file]
+def test_implies_decides_unary_goals(sigma_file, capsys):
+    base = ["implies", "--schema", WARD_SCHEMA_TEXT, "--sigma", sigma_file]
     assert run_cli(base + ["--phi", "{{room},{injury},{time}}"]) == 0
+    assert run_cli(base + ["--phi", X_TEXT]) == 0
+    assert capsys.readouterr().out == "implied\nimplied\n"
     assert run_cli(base + ["--phi", PHI_PRIME_TEXT]) == 1
-    assert run_cli(base + ["--phi", X_TEXT]) == 2  # not unary
-    captured = capsys.readouterr()
-    assert "implied\nnot implied\n" == captured.out
-    assert "singleton" in captured.err
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["not implied", "failing choice: {injury,time}, {injury,time}"]
+    # the separate unary subcommand is gone
+    assert run_cli(["implies-unary", *base[1:], "--phi", "{{room}}"]) == 2
+    assert "invalid choice: 'implies-unary'" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -612,14 +637,14 @@ _small = st.integers(-1, 4).map(str)
 def _argv(draw):
     spec = st.sampled_from(SCHEMA_SPECS)
     ingest = st.sampled_from(([], ["--no-header"], ["--null-token", "1"], ["--delimiter", ";"]))
-    commands = ("validate", "implies", "implies-unary", "check-proof", "armstrong", "antikeys")
+    commands = ("validate", "implies", "check-proof", "armstrong", "antikeys")
     command = draw(st.sampled_from((*commands, "gen-keysets", "from-3sat", "bench")))
     if command == "validate":
         target = draw(st.sampled_from((["--keyset", draw(_keyset)], ["--keyset-file", "@sigma.txt"])))
         algo = draw(st.sampled_from(("naive", "linear")))
         report = draw(st.sampled_from(("table", "json")))
         return ["validate", "--data", "@data.csv", *target, "--algo", algo, "--report", report, *draw(ingest)]
-    if command in ("implies", "implies-unary"):
+    if command == "implies":
         return [command, "--schema", draw(spec), "--sigma", "@sigma.txt", "--phi", draw(_keyset)]
     if command == "check-proof":
         return [command, "--derivation", "@proof.txt"]

@@ -18,7 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import keysets_st, pair_state, random_family, random_keyset, reference_implies, witness_refutes
+from conftest import (
+    keysets_st,
+    pair_c_instance,
+    pair_state,
+    random_family,
+    random_keyset,
+    reference_implies,
+    witness_refutes,
+)
 from keysets import (
     CnfFormula,
     Decision,
@@ -111,15 +119,16 @@ def test_instance_rejects_oversized_keyset(ward_schema, x1):
         ImplicationInstance(ward_schema, (x1,), KeySet.of({9}))
 
 
-def test_search_node_cap(ward_schema, x1, x2, phi_prime, monkeypatch):
-    # the search visits 4 nodes before it finds the failing choice
-    inst = ImplicationInstance(ward_schema, (x1, x2), phi_prime)
-    monkeypatch.setattr(implication, "CHOICE_CAP", 3)
+def test_search_node_cap(monkeypatch):
+    # a choice product of 8; the search visits 22 nodes
+    inst = pair_c_instance(3)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 7)
     with pytest.raises(ResourceLimit) as err:
         implies(inst)
-    assert (err.value.limit, err.value.size, err.value.cap) == ("search nodes", 4, 3)
-    monkeypatch.setattr(implication, "CHOICE_CAP", 4)
-    assert implies(inst).implied is False
+    assert (err.value.limit, err.value.size, err.value.cap) == ("search nodes", 8, 7)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 8)
+    assert _search(inst) == (None, 22)
+    assert implies(inst).implied
 
 
 # --------------------------------------------------------------------------
@@ -271,40 +280,60 @@ def sequential_instance(n: int) -> ImplicationInstance:
 
 
 def test_search_budget_counts_nodes_not_choices():
-    # the product of member sizes is about 1.8 million, past the cap,
-    # but the search settles the instance inside its node budget
-    inst = sequential_instance(10)
-    assert _search(inst) == (None, 930_418)
-    assert implies(inst).implied
+    # the products of member sizes are n!/2, past the cap from n = 10 on,
+    # but X_n alone implies the goal, and its one key lies inside the
+    # goal's keys, so the search settles each instance at its root
+    for n in (10, 11, 12):
+        inst = sequential_instance(n)
+        assert _search(inst) == (None, 0)
+        assert implies(inst).implied
+    # a product of 2**20, past the cap, that nothing prunes early
     started = time.perf_counter()
     with pytest.raises(ResourceLimit) as err:
-        implies(sequential_instance(11))
+        implies(pair_c_instance(20))
     assert time.perf_counter() - started < 5
     assert err.value.limit == "search nodes"
     assert (err.value.size, err.value.cap) == (CHOICE_CAP + 1, CHOICE_CAP)
 
 
-def phi_last_instance(pairs: int) -> ImplicationInstance:
-    """``pairs`` members {{a_i},{b_i}}, then {{y}}, against phi = {{y}}:
-    implied, but nothing is pruned before the last member, so the search
-    visits 2**(pairs + 1) - 2 + 2**pairs nodes for a product of 2**pairs."""
-    schema = Schema((*(f"{c}{i}" for i in range(pairs) for c in "ab"), "y"))
+def phi_last_instance(pairs: int, last: KeySet | None = None) -> ImplicationInstance:
+    """``pairs`` members {{a_i},{b_i}}, then ``last`` (default {{y}}),
+    against phi = {{y}}. The search drops the key {y} at its root."""
+    schema = Schema((*(f"{c}{i}" for i in range(pairs) for c in "ab"), "y", "z"))
     y = KeySet.of({2 * pairs})
     sigma = tuple(KeySet.of({2 * i}, {2 * i + 1}) for i in range(pairs))
-    return ImplicationInstance(schema, (*sigma, y), y)
+    return ImplicationInstance(schema, (*sigma, last or y), y)
 
 
 def test_search_budget_spares_products_within_the_cap(monkeypatch):
     # the node budget never refuses an instance whose choice product is
     # inside the cap, however many more nodes than choices it visits
     monkeypatch.setattr(implication, "CHOICE_CAP", 2**10)
-    assert _search(phi_last_instance(10)) == (None, 2**11 - 2 + 2**10)
+    assert _search(pair_c_instance(10)) == (None, 2**11 - 2 + 2**10)
+    # the product counts kept keys only: {a_0,c} is dropped at the root
+    inst = pair_c_instance(10)
+    padded = ImplicationInstance(inst.schema, (*inst.sigma, KeySet.of({0, 20}, {20})), inst.phi)
+    assert _search(padded) == (None, 2**11 - 2 + 2**10)
     with pytest.raises(ResourceLimit) as err:
-        implies(phi_last_instance(11))
+        implies(pair_c_instance(11))
     assert (err.value.limit, err.value.size, err.value.cap) == ("search nodes", 2**10 + 1, 2**10)
     monkeypatch.undo()
     # product 2**19 <= CHOICE_CAP, and about 1.57 million nodes
-    assert implies(phi_last_instance(19)) == Decision(True, None)
+    assert implies(pair_c_instance(19)) == Decision(True, None)
+
+
+def test_unary_goals_take_one_node_per_member():
+    # a member whose attributes lie inside phi's settles the answer at the
+    # root, although the choice product is 2**40
+    assert _search(phi_last_instance(40)) == (None, 0)
+    assert implies(phi_last_instance(40)) == Decision(True, None)
+    # otherwise no kept key is ever covered: one node per member
+    inst = phi_last_instance(40, KeySet.of({80}, {81}))
+    assert _search(inst) == ((0,) * 40 + (1,), 41)
+    decision = implies(inst)
+    assert not decision.implied
+    assert decision.witness.choice[-1] == frozenset({81})
+    assert witness_refutes(inst, decision.witness)
 
 
 def planted_3cnf(seed: int, num_vars: int, num_clauses: int) -> CnfFormula:

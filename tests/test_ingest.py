@@ -47,6 +47,19 @@ def test_load_from_path(tmp_path, ward_schema):
     assert load_csv(str(path)).rows == load_text(WARD_CSV).rows
 
 
+def test_byte_order_mark_dropped_from_paths(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfroom,time\n1,2\n1,3\n")
+    assert read_schema(path) == Schema.of("room", "time")
+    rel = load_csv(path)
+    assert rel.schema == Schema.of("room", "time")
+    out = tmp_path / "out.csv"
+    write_csv(rel, out)
+    assert out.read_bytes() == b"room,time\n1,2\n1,3\n"
+    # a stream is read as given, mark included
+    assert read_schema(io.StringIO("\ufeffroom,time\n")) == Schema.of("\ufeffroom", "time")
+
+
 def test_round_trip_is_cell_identical(tmp_path):
     rel = load_text(WARD_CSV)
     path = tmp_path / "out.csv"
