@@ -12,13 +12,11 @@ A failing choice yields a two-row counterexample relation directly.
 choice holding it is fine), then picks the kept keys depth first and
 skips every completion of a prefix that is already fine: the chosen keys
 and the keys of ``phi`` inside their union only grow as keys are added.
-The canonical order is kept, so the witness is the canonically smallest
-failing choice. For a unary ``phi`` the drop is the paper's criterion
-(a member left with no key), and no kept key is ever covered, so at most
-``len(sigma)`` nodes are visited. In general the problem is
-coNP-complete; the search stops after :data:`CHOICE_CAP` nodes, unless
-the kept keys' choice product is within that cap too: then the whole
-tree (at most ``len(sigma)`` times the product nodes) is searched.
+The witness is the canonically smallest failing choice. For a unary
+``phi`` the drop is the paper's criterion, and no kept key is ever
+covered, so at most ``len(sigma)`` nodes are visited. In general the
+problem is coNP-complete; the search stops after :data:`CHOICE_CAP`
+nodes unless the kept keys' choice product is within that cap too.
 
 An empty ``sigma`` implies nothing: two identical total rows satisfy
 every member of the empty family and violate any key set.
@@ -152,19 +150,20 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
     """The first failing choice, as one key index per member of a
     non-empty ``sigma``, or ``None``; and the number of nodes visited.
 
-    Keys ``x ⊆ covered(x)`` are dropped first, keeping the order of the
-    rest; ``(None, 0)`` if a member loses every key. A node picks the next
-    member's kept key after a prefix. The prefix is fine, and its subtree
-    skipped, once one of its keys lies inside ``covered(union)``, the
-    union of the keys of ``phi`` inside the prefix's union: both only grow
-    as keys are added, so a dropped key makes any choice fine. Attribute
-    sets are int bitmasks. While ``covered`` stays as it was at the parent,
-    only the new key needs the test. Raises :class:`ResourceLimit` on node
+    Keys ``x ⊆ covered(x)`` are dropped first, in order; a key smaller
+    than every key of ``phi`` never is. ``(None, 0)`` if a member loses
+    every key. A node picks the next member's kept key after a prefix. The
+    prefix is fine, and its subtree skipped, once one of its keys lies
+    inside ``covered(union)``, the union of the keys of ``phi`` inside the
+    prefix's union: both only grow as keys are added. Attribute sets are
+    int bitmasks; while ``covered`` stays as it was at the parent, only the
+    new key needs the test. Raises :class:`ResourceLimit` on node
     ``CHOICE_CAP + 1`` when the kept keys' choice product exceeds it.
     """
     phi = [_mask(y) for y in inst.phi.sorted_keys]
     masks = [[_mask(x) for x in ks.sorted_keys] for ks in inst.sigma]
-    index = [[i for i, x in enumerate(keys) if x & ~_covered(x, phi)] for keys in masks]
+    least = min(y.bit_count() for y in phi)
+    index = [[i for i, x in enumerate(keys) if x.bit_count() < least or x & ~_covered(x, phi)] for keys in masks]
     if not all(index):
         return None, 0
     members = [[keys[i] for i in ix] for keys, ix in zip(masks, index)]
@@ -188,7 +187,10 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
             raise ResourceLimit("search nodes", nodes, cap)
         x = chosen[d] = members[d][picks[d]]
         union = unions[d] | x
-        covered = _covered(union, phi)
+        covered = covers[d]
+        for y in phi:
+            if y & union == y:
+                covered |= y
         if x & covered == x:
             continue
         if covered != covers[d] and any(c & covered == c for c in chosen[:d]):

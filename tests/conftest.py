@@ -201,7 +201,7 @@ def witness_refutes(inst, witness) -> bool:
     return all(satisfies(rel, ks) for ks in inst.sigma) and not satisfies(rel, inst.phi)
 
 
-def pair_c_instance(pairs: int):
+def pair_c_instance(pairs: int) -> ImplicationInstance:
     """``pairs`` members {{a_i},{b_i}}, then {{c}}, against
     phi = {{a_0,c},{b_0,c}}: implied, but no key lies inside the keys of
     phi it contains and no prefix is fine before ``c`` is chosen, so the
