@@ -6,6 +6,9 @@ of their keys, a set between one component and the pair's union). Every
 implied key set has a derivation; derive_keyset finds one and
 check_derivation verifies it step by step. simulate_nary shows that the
 n-ary form of Composition is only a convenience: binary steps suffice.
+derive_keyset reads its proof off the implication search, so a proof for
+an unsatisfiable 10-variable formula stays a few kilobytes long, while
+the key-choice product behind it has 2**10 tuples.
 
 Run: python3 demos/03_derivations.py
 """
@@ -14,13 +17,16 @@ import itertools
 import random
 
 from keysets import (
+    CnfFormula,
     apply_composition,
     check_derivation,
     derive_keyset,
     format_derivation,
+    from_3sat,
     parse_derivation,
     parse_keyset,
     parse_schema,
+    satisfiable,
     simulate_nary,
 )
 
@@ -62,6 +68,25 @@ def main():
     print(f"  direct n-ary result: {len(direct.keys)} keys")
     print(f"  replay: {len(replay.steps)} binary steps, same conclusion: "
           f"{replay.conclusion == direct}, checks out: {check_derivation(replay)}")
+
+    print("\na proof that a random 10-variable, 60-clause 3-CNF formula is unsatisfiable:")
+    variables = tuple(f"x{i}" for i in range(1, 11))
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        clauses = tuple(
+            frozenset((v, rng.random() < 0.5) for v in rng.sample(variables, 3)) for _ in range(60)
+        )
+        formula = CnfFormula(variables, clauses)
+        if not satisfiable(formula):
+            break
+    inst = from_3sat(formula)
+    proof = derive_keyset(inst.sigma, inst.phi)
+    text = format_derivation(proof, inst.schema)
+    entries = len(proof.steps[0].params.entries)
+    print(f"  seed {seed}: {len(proof.steps)} steps, {entries} choice entries, {len(text)} bytes, "
+          f"checks out: {check_derivation(parse_derivation(text)[0])}")
+    # one entry per key tuple would be 2**10 entries, with refinements megabytes
+    assert entries < 2**10 // 4 and len(text) < 10**6, "the proof grew back towards the product"
 
 
 if __name__ == "__main__":

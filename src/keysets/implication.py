@@ -17,6 +17,9 @@ The witness is the canonically smallest failing choice. For a unary
 covered, so at most ``len(sigma)`` nodes are visited. In general the
 problem is coNP-complete; the search stops after :data:`CHOICE_CAP`
 nodes unless the kept keys' choice product is within that cap too.
+:func:`~keysets.inference.derive_keyset` runs the same search and reads
+its proof off the prefixes it prunes, so a proof has the size of the
+search tree, not of the product.
 
 An empty ``sigma`` implies nothing: two identical total rows satisfy
 every member of the empty family and violate any key set.
@@ -126,7 +129,7 @@ def implies(inst: ImplicationInstance) -> Decision:
     """
     if not inst.sigma:
         return Decision(False, CounterexampleWitness((), build_counterexample((), inst)))
-    picks, _ = _search(inst)
+    picks, _ = _search(inst.sigma, inst.phi)
     if picks is None:
         return Decision(True, None)
     choice = tuple(ks.sorted_keys[i] for ks, i in zip(inst.sigma, picks))
@@ -146,7 +149,9 @@ def _covered(union: int, phi: list[int]) -> int:
     return covered
 
 
-def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
+def _search(
+    sigma: Sequence[KeySet], phi: KeySet, leaves: list[tuple[int, ...]] | None = None
+) -> tuple[tuple[int, ...] | None, int]:
     """The first failing choice, as one key index per member of a
     non-empty ``sigma``, or ``None``; and the number of nodes visited.
 
@@ -155,15 +160,17 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
     every key. A node picks the next member's kept key after a prefix. The
     prefix is fine, and its subtree skipped, once one of its keys lies
     inside ``covered(union)``, the union of the keys of ``phi`` inside the
-    prefix's union: both only grow as keys are added. Attribute sets are
-    int bitmasks; while ``covered`` stays as it was at the parent, only the
-    new key needs the test. Raises :class:`ResourceLimit` on node
+    prefix's union: both only grow as keys are added. Each such pruned
+    prefix is appended to ``leaves``, when given, as one index into
+    ``sorted_keys`` per member it spans. Attribute sets are int bitmasks;
+    while ``covered`` stays as it was at the parent, only the new key
+    needs the test. Raises :class:`ResourceLimit` on node
     ``CHOICE_CAP + 1`` when the kept keys' choice product exceeds it.
     """
-    phi = [_mask(y) for y in inst.phi.sorted_keys]
-    masks = [[_mask(x) for x in ks.sorted_keys] for ks in inst.sigma]
-    least = min(y.bit_count() for y in phi)
-    index = [[i for i, x in enumerate(keys) if x.bit_count() < least or x & ~_covered(x, phi)] for keys in masks]
+    goal = [_mask(y) for y in phi.sorted_keys]
+    masks = [[_mask(x) for x in ks.sorted_keys] for ks in sigma]
+    least = min(y.bit_count() for y in goal)
+    index = [[i for i, x in enumerate(keys) if x.bit_count() < least or x & ~_covered(x, goal)] for keys in masks]
     if not all(index):
         return None, 0
     members = [[keys[i] for i in ix] for keys, ix in zip(masks, index)]
@@ -188,12 +195,12 @@ def _search(inst: ImplicationInstance) -> tuple[tuple[int, ...] | None, int]:
         x = chosen[d] = members[d][picks[d]]
         union = unions[d] | x
         covered = covers[d]
-        for y in phi:
+        for y in goal:
             if y & union == y:
                 covered |= y
-        if x & covered == x:
-            continue
-        if covered != covers[d] and any(c & covered == c for c in chosen[:d]):
+        if x & covered == x or covered != covers[d] and any(c & covered == c for c in chosen[:d]):
+            if leaves is not None:
+                leaves.append(tuple(ix[p] for ix, p in zip(index, picks[: d + 1])))
             continue
         if d + 1 == depth:
             return tuple(ix[p] for ix, p in zip(index, picks)), nodes

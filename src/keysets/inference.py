@@ -9,11 +9,15 @@ Three rules are sound and complete for key-set implication:
   or K2 contained in Z; the derived key set collects the chosen sets.
 
 Composition generalizes to n premises (some component key must sit inside
-each chosen set). :func:`simulate_nary` replays any n-ary application as
-a derivation using only binary Composition steps plus at most one final
-Upward closure, and :func:`derive_keyset` builds, for any implied key
-set, a derivation of the shape one n-ary Composition, then Refinements,
-then at most one Upward closure.
+each chosen set). A choice table may choose once for a tuple of keys from
+the first k premises only: a set inside that tuple's union lies inside
+the union of every full tuple it begins. :func:`simulate_nary` replays
+any n-ary application as a derivation using only binary Composition steps
+plus at most one final Upward closure, and :func:`derive_keyset` builds,
+for any implied key set, a derivation of the shape one n-ary Composition,
+then Refinements, then at most one Upward closure. Its choice table is
+read off the implication search, one entry per pruned prefix, so a proof
+has the size of the search tree rather than of the key-choice product.
 
 Derivations are explicit objects: premises, steps with rule name,
 references, parameters and claimed conclusion, and a final conclusion.
@@ -28,7 +32,6 @@ occurrence is a dictionary lookup.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -107,20 +110,32 @@ def _combo_text(combo: tuple[AttrSet, ...]) -> str:
 def apply_composition(
     family: Sequence[KeySet], choice: Mapping[tuple[AttrSet, ...], AttrSet]
 ) -> KeySet:
-    """Composition over n >= 1 premises; ``choice`` must cover every key
-    tuple drawn from them.
+    """Composition over n >= 1 premises.
 
-    For n = 1 the side conditions force every chosen set to equal its key,
-    so the result is the premise itself.
+    A key tuple in ``choice`` draws one key from each of the first k
+    premises, 1 <= k <= n, and its entry stands for every full key tuple
+    it begins. No entry may extend another, and the entries must begin
+    every full tuple: counted as the product of the remaining premises'
+    sizes, they sum to the product of all sizes. For n = 1 the side
+    conditions force every chosen set to equal its key, so the result is
+    the premise itself.
     """
     family = tuple(family)
     if not family:
         raise RuleError("composition needs at least one premise")
+    # tails[k]: the number of full key tuples that k keys begin
+    tails = [1]
+    for ks in reversed(family):
+        tails.insert(0, tails[0] * len(ks))
+    counted = 0
     out: set[AttrSet] = set()
-    for combo in itertools.product(*(ks.sorted_keys for ks in family)):
-        if combo not in choice:
-            raise RuleError(f"choice has no entry for key tuple {_combo_text(combo)}")
-        chosen = frozenset(choice[combo])
+    for combo, chosen in choice.items():
+        if not 0 < len(combo) <= len(family) or any(x not in ks.keys for x, ks in zip(combo, family)):
+            raise RuleError(f"key tuple {_combo_text(combo)} is not drawn from the premises")
+        if any(combo[:k] in choice for k in range(1, len(combo))):
+            raise RuleError(f"entry for key tuple {_combo_text(combo)} extends another entry")
+        counted += tails[len(combo)]
+        chosen = frozenset(chosen)
         union = frozenset().union(*combo)
         if not chosen <= union:
             raise RuleError(
@@ -131,6 +146,8 @@ def apply_composition(
                 f"no component key is contained in the chosen set for {_combo_text(combo)}"
             )
         out.add(chosen)
+    if counted != tails[0]:
+        raise RuleError(f"choice has no entry for key tuples: its entries begin {counted} of {tails[0]}")
     return KeySet(frozenset(out))
 
 
@@ -152,7 +169,10 @@ class RefinementParams:
 
 @dataclass(frozen=True)
 class CompositionParams:
-    """Choice entries ((K1, ..., Kn), Z) in canonical product order."""
+    """Choice entries ((K1, ..., Kk), Z), k <= n, each standing for every
+    full key tuple it begins; :func:`derive_keyset` lists them in order of
+    their key indices. :func:`check_derivation` rejects a key tuple that
+    is listed twice, which :meth:`as_mapping` would collapse."""
 
     entries: tuple[tuple[tuple[AttrSet, ...], AttrSet], ...]
 
@@ -185,16 +205,6 @@ class Derivation:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-def _entries_for(
-    family: Sequence[KeySet], mapping: Mapping[tuple[AttrSet, ...], AttrSet]
-) -> CompositionParams:
-    entries = tuple(
-        (combo, mapping[combo])
-        for combo in itertools.product(*(ks.sorted_keys for ks in family))
-    )
-    return CompositionParams(entries)
-
-
 def _resolve(d: Derivation, derived: list[KeySet], ref: Ref, upto: int) -> KeySet:
     kind, idx = ref
     if kind == "p":
@@ -220,12 +230,15 @@ def _apply_step(rule: str, inputs: list[KeySet], params: StepParams) -> KeySet:
     if rule == RULE_COMPOSITION:
         if len(inputs) != 2 or not isinstance(params, CompositionParams):
             raise RuleError("composition takes exactly two inputs and a choice table")
-        return apply_composition(inputs, params.as_mapping())
-    if rule == RULE_NARY:
+    elif rule == RULE_NARY:
         if not inputs or not isinstance(params, CompositionParams):
             raise RuleError("n-ary composition takes n >= 1 inputs and a choice table")
-        return apply_composition(inputs, params.as_mapping())
-    raise RuleError(f"unknown rule {rule!r}")
+    else:
+        raise RuleError(f"unknown rule {rule!r}")
+    choice = params.as_mapping()
+    if len(choice) != len(params.entries):
+        raise RuleError("choice table lists a key tuple twice")
+    return apply_composition(inputs, choice)
 
 
 def first_invalid_step(d: Derivation) -> int | None:
@@ -268,6 +281,15 @@ def _decompose(x: AttrSet, family: KeySetFamily) -> list[list[AttrSet]] | None:
     return parts
 
 
+def _chosen(choice: Mapping[tuple[AttrSet, ...], AttrSet], combo: tuple[AttrSet, ...]) -> AttrSet:
+    """The chosen set of the entry that begins the full key tuple ``combo``."""
+    for k in range(1, len(combo) + 1):
+        chosen = choice.get(combo[:k])
+        if chosen is not None:
+            return chosen
+    raise RuleError(f"choice has no entry for key tuple {_combo_text(combo)}")
+
+
 def _round_plan(
     x: AttrSet,
     family: KeySetFamily,
@@ -285,7 +307,7 @@ def _round_plan(
             pinned = [[y] if j == i else parts[j] for j in range(n)]
             found = None
             for combo in itertools.product(*pinned):
-                chosen = choice[tuple(combo)]
+                chosen = _chosen(choice, combo)
                 if y <= chosen:
                     found = chosen
                     break
@@ -325,7 +347,7 @@ def simulate_nary(
             DerivationStep(
                 RULE_COMPOSITION,
                 (left_ref, right_ref),
-                _entries_for((left, right), mapping),
+                CompositionParams(tuple(mapping.items())),
                 result,
             )
         )
@@ -405,50 +427,63 @@ def derive_keyset(premises: Sequence[KeySet], goal: KeySet) -> Derivation:
     """Derivation of an implied ``goal``: one n-ary Composition, then
     Refinements, then at most one Upward closure.
 
-    For each tuple of keys drawn from the premises, the composition keeps
-    the union of the goal keys contained in the tuple's attribute union;
-    refinements then split those unions back into the goal keys. Raises
-    :class:`RuleError` when ``goal`` is not implied, and
-    :class:`ResourceLimit`, before enumerating any tuple, when the product
-    of the premise sizes exceeds :data:`~keysets.implication.CHOICE_CAP`:
-    unlike the pruned search of ``implies``, this walks the whole product.
+    The composition's choice table is read off the implication search:
+    one entry per prefix it prunes, and one per key its root step dropped
+    under each node it entered. A premise that lost every key composes
+    alone. An entry chooses the first goal key inside its key union that
+    holds one of its keys; when there is none, the union of the goal keys
+    inside its key union, which refinements then split back into those
+    keys. Raises :class:`RuleError` when ``goal`` is not implied, and
+    :class:`ResourceLimit` where :func:`~keysets.implication.implies`
+    does.
     """
     premises = tuple(premises)
     if not premises:
         raise RuleError("an empty premise family implies no key set")
-    cap = implication.CHOICE_CAP
-    size = math.prod(len(p) for p in premises)
-    if size > cap:
-        raise ResourceLimit("choice product", size, cap)
+    leaves: list[tuple[int, ...]] = []
+    if implication._search(premises, goal, leaves)[0] is not None:
+        raise RuleError("goal is not implied by the premises")
+    refs = range(len(premises))
+    if not leaves:  # some premise lost every key
+        refs = [next(i for i, p in enumerate(premises) if implication._search((p,), goal)[0] is None)]
+    family = [premises[i] for i in refs]
+    # every entered node at depth k has each kept key of member k as a child
+    kept: list[set[int]] = [set() for _ in family]
+    for leaf in leaves:
+        for k, i in enumerate(leaf):
+            kept[k].add(i)
+    dropped_leaves = []
+    for k, ks in enumerate(family):
+        dropped = [i for i in range(len(ks)) if i not in kept[k]]
+        if dropped:
+            entered = {leaf[:k] for leaf in leaves if len(leaf) > k} if k else {()}
+            dropped_leaves += [node + (i,) for node in entered for i in dropped]
+
     goal_keys = goal.sorted_keys
-    mapping: dict[tuple[AttrSet, ...], AttrSet] = {}
+    entries = []
     parts_for: dict[AttrSet, tuple[AttrSet, ...]] = {}
-    for combo in itertools.product(*(p.sorted_keys for p in premises)):
+    for leaf in sorted(leaves + dropped_leaves):
+        combo = tuple(family[k].sorted_keys[i] for k, i in enumerate(leaf))
         union = frozenset().union(*combo)
         zs = tuple(y for y in goal_keys if y <= union)
-        covered = frozenset().union(*zs) if zs else frozenset()
-        if not any(x <= covered for x in combo):
-            raise RuleError("goal is not implied by the premises")
-        mapping[combo] = covered
-        parts_for.setdefault(covered, zs)
+        chosen = next((y for y in zs if any(x <= y for x in combo)), None)
+        if chosen is None:
+            chosen = frozenset().union(*zs)
+            parts_for[chosen] = zs
+        entries.append((combo, chosen))
 
-    composed = apply_composition(premises, mapping)
+    composed = apply_composition(family, dict(entries))
     steps: list[DerivationStep] = [
         DerivationStep(
-            RULE_NARY,
-            tuple(("p", i) for i in range(len(premises))),
-            _entries_for(premises, mapping),
-            composed,
+            RULE_NARY, tuple(("p", i) for i in refs), CompositionParams(tuple(entries)), composed
         )
     ]
     current = composed
     current_ref: Ref = ("s", 0)
     for union_set in composed.sorted_keys:
-        if union_set not in current.keys:
-            continue  # already split apart while refining an earlier union
-        parts = parts_for[union_set]
-        if len(parts) <= 1:
-            continue
+        parts = parts_for.get(union_set)
+        if parts is None or union_set not in current.keys:
+            continue  # a goal key, or already split apart while refining an earlier union
         remaining = union_set
         for idx in range(len(parts) - 1):
             left = parts[idx]
@@ -482,7 +517,8 @@ def derive_keyset(premises: Sequence[KeySet], goal: KeySet) -> Derivation:
 #   <idx>: <rule> from <refs> with <params> => <keyset>
 #
 # wrapped by a schema line, numbered premise lines and a conclusion line.
-# '#' lines are comments.
+# '#' lines are comments. A Composition entry lists the keys of the first
+# k premises, k <= n, and stands for every key tuple it begins.
 
 
 def format_derivation(d: Derivation, schema: Schema) -> str:

@@ -46,6 +46,7 @@ from keysets.inference import (
     Derivation,
     DerivationStep,
     RefinementParams,
+    RuleError,
     UpwardClosureParams,
 )
 
@@ -244,6 +245,57 @@ def random_choice_map(rng: random.Random, family) -> dict:
         base = combo[rng.randrange(len(combo))]
         mapping[combo] = base | frozenset(a for a in union if rng.random() < 0.4)
     return mapping
+
+
+def random_prefix_table(rng: random.Random, family, stop: float = 0.4) -> dict:
+    """A valid Composition choice whose entries may stop early: each draws
+    keys from the first k premises, stands for every key tuple it begins,
+    and gets one of its keys plus padding from their union."""
+    table = {}
+
+    def grow(prefix: tuple) -> None:
+        if prefix and (len(prefix) == len(family) or rng.random() < stop):
+            union = frozenset().union(*prefix)
+            base = prefix[rng.randrange(len(prefix))]
+            table[prefix] = base | frozenset(a for a in union if rng.random() < 0.4)
+            return
+        for x in family[len(prefix)].sorted_keys:
+            grow((*prefix, x))
+
+    grow(())
+    return table
+
+
+def reference_apply_composition(family, choice) -> KeySet:
+    """Composition over the whole key-choice product: ``choice`` must map
+    every full key tuple, and only those are read."""
+    out = set()
+    for combo in itertools.product(*(ks.sorted_keys for ks in family)):
+        if combo not in choice:
+            raise RuleError("choice has no entry for a key tuple")
+        chosen = frozenset(choice[combo])
+        if not chosen <= frozenset().union(*combo):
+            raise RuleError("chosen set escapes the key union")
+        if not any(x <= chosen for x in combo):
+            raise RuleError("no component key is contained in the chosen set")
+        out.add(chosen)
+    return KeySet(frozenset(out))
+
+
+# An unsatisfiable 3-CNF formula over 15 variables.
+UNSAT_15 = """\
+p cnf 15 75
+15 -1 12 0 -14 11 13 0 11 -5 -4 0 -12 4 14 0 7 -2 -9 0 -10 7 -13 0 -1 -3 15 0 8 14 2 0
+-13 9 -7 0 -6 4 -5 0 -6 -7 2 0 -2 -8 -6 0 -5 1 14 0 8 -15 -1 0 -7 12 9 0 1 5 -10 0
+-11 -9 -5 0 14 1 -11 0 3 -4 -15 0 5 10 11 0 -13 -11 2 0 -14 -2 6 0 14 -6 12 0 -10 -13 9 0
+4 -9 8 0 3 -11 -12 0 10 7 -5 0 -1 14 -11 0 -4 -11 -12 0 4 3 13 0 -14 6 9 0 8 -9 -7 0
+4 -15 1 0 11 15 10 0 -7 12 -6 0 12 3 -15 0 9 -8 -4 0 -10 11 5 0 14 -2 -11 0 3 -10 -4 0
+10 -12 -6 0 11 -8 -10 0 -12 5 -6 0 2 -4 11 0 11 4 -8 0 -15 -3 -8 0 -8 -12 11 0 12 -4 -6 0
+-9 -5 6 0 -1 -13 14 0 1 -14 7 0 6 10 13 0 13 -2 -3 0 15 -1 -8 0 8 -11 -6 0 -15 14 13 0
+-12 3 -14 0 12 13 -2 0 4 -7 -12 0 -6 -14 -11 0 3 14 15 0 2 9 -7 0 -3 -10 13 0 -2 6 -3 0
+-11 -7 15 0 -4 -11 -7 0 13 -6 2 0 2 15 4 0 -11 -7 -1 0 3 -15 -8 0 -7 9 -15 0 12 1 8 0
+13 10 4 0 -9 8 -7 0 -4 6 -10 0
+"""
 
 
 def reference_split(blocks: list[list[Row]], key_cols: tuple[int, ...]) -> list[list[Row]]:

@@ -343,6 +343,26 @@ def test_check_proof_unsupported_conclusion(tmp_path, capsys):
     assert out == "invalid: conclusion is neither a premise nor the final step's result\n"
 
 
+def test_check_proof_rejects_unchecked_choice_entries(tmp_path, capsys):
+    def step(entries: str) -> str:
+        return (
+            "schema: a,b,c\npremise 0: {{a},{b}}\npremise 1: {{c}}\n"
+            f"0: Composition from p0,p1 with {entries} => {{{{a,c}},{{b,c}}}}\n"
+            "conclusion: {{a,c},{b,c}}\n"
+        )
+
+    path = tmp_path / "proof.txt"
+    path.write_text(step("{a}|{c}->{a,c}; {b}|{c}->{b,c}"), encoding="utf-8")
+    assert run_cli(["check-proof", "--derivation", str(path)]) == 0
+    # a duplicate tuple, tuples drawn from the wrong premises, and one
+    # drawn from no premise at all
+    junk = "{a}|{c}->{b}; {a}|{c}->{a,c}; {b}|{c}->{b,c}; {c}|{a}->{}; {b,c}|{a,b,c}->{}"
+    path.write_text(step(junk), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["check-proof", "--derivation", str(path)]) == 1
+    assert capsys.readouterr().out == "invalid: step 0 does not check\n"
+
+
 def test_check_proof_input_errors(tmp_path, capsys):
     assert run_cli(["check-proof", "--derivation", str(tmp_path / "gone.txt")]) == 2
     bad = tmp_path / "bad.txt"

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    UNSAT_15,
     keysets_st,
     pair_c_instance,
     pair_state,
@@ -127,7 +128,7 @@ def test_search_node_cap(monkeypatch):
         implies(inst)
     assert (err.value.limit, err.value.size, err.value.cap) == ("search nodes", 8, 7)
     monkeypatch.setattr(implication, "CHOICE_CAP", 8)
-    assert _search(inst) == (None, 22)
+    assert _search(inst.sigma, inst.phi) == (None, 22)
     assert implies(inst).implied
 
 
@@ -240,31 +241,16 @@ def test_search_does_not_recurse():
     # reaches full depth before it prunes
     inst = ImplicationInstance(schema, sigma, KeySet.of(set(range(width))))
     assert implies(inst).implied
-    assert _search(inst) == (None, width)
+    assert _search(inst.sigma, inst.phi) == (None, width)
     refuted = ImplicationInstance(schema, sigma, KeySet.of({width}))
     assert implies(refuted) == reference_implies(refuted)
-    assert _search(refuted) == ((0,) * width, width)
-
-
-UNSAT_15 = """\
-p cnf 15 75
-15 -1 12 0 -14 11 13 0 11 -5 -4 0 -12 4 14 0 7 -2 -9 0 -10 7 -13 0 -1 -3 15 0 8 14 2 0
--13 9 -7 0 -6 4 -5 0 -6 -7 2 0 -2 -8 -6 0 -5 1 14 0 8 -15 -1 0 -7 12 9 0 1 5 -10 0
--11 -9 -5 0 14 1 -11 0 3 -4 -15 0 5 10 11 0 -13 -11 2 0 -14 -2 6 0 14 -6 12 0 -10 -13 9 0
-4 -9 8 0 3 -11 -12 0 10 7 -5 0 -1 14 -11 0 -4 -11 -12 0 4 3 13 0 -14 6 9 0 8 -9 -7 0
-4 -15 1 0 11 15 10 0 -7 12 -6 0 12 3 -15 0 9 -8 -4 0 -10 11 5 0 14 -2 -11 0 3 -10 -4 0
-10 -12 -6 0 11 -8 -10 0 -12 5 -6 0 2 -4 11 0 11 4 -8 0 -15 -3 -8 0 -8 -12 11 0 12 -4 -6 0
--9 -5 6 0 -1 -13 14 0 1 -14 7 0 6 10 13 0 13 -2 -3 0 15 -1 -8 0 8 -11 -6 0 -15 14 13 0
--12 3 -14 0 12 13 -2 0 4 -7 -12 0 -6 -14 -11 0 3 14 15 0 2 9 -7 0 -3 -10 13 0 -2 6 -3 0
--11 -7 15 0 -4 -11 -7 0 13 -6 2 0 2 15 4 0 -11 -7 -1 0 3 -15 -8 0 -7 9 -15 0 12 1 8 0
-13 10 4 0 -9 8 -7 0 -4 6 -10 0
-"""
+    assert _search(refuted.sigma, refuted.phi) == ((0,) * width, width)
 
 
 def test_search_work_count_on_unsatisfiable_formula():
     inst = from_3sat(parse_dimacs(UNSAT_15))
     assert len(inst.sigma) == 15
-    picks, nodes = _search(inst)
+    picks, nodes = _search(inst.sigma, inst.phi)
     assert picks is None
     # the product has 2**15 = 32,768 choices; the search visits 1,580 nodes
     assert nodes == 1580
@@ -285,7 +271,7 @@ def test_search_budget_counts_nodes_not_choices():
     # goal's keys, so the search settles each instance at its root
     for n in (10, 11, 12):
         inst = sequential_instance(n)
-        assert _search(inst) == (None, 0)
+        assert _search(inst.sigma, inst.phi) == (None, 0)
         assert implies(inst).implied
     # a product of 2**20, past the cap, that nothing prunes early
     started = time.perf_counter()
@@ -309,11 +295,11 @@ def test_search_budget_spares_products_within_the_cap(monkeypatch):
     # the node budget never refuses an instance whose choice product is
     # inside the cap, however many more nodes than choices it visits
     monkeypatch.setattr(implication, "CHOICE_CAP", 2**10)
-    assert _search(pair_c_instance(10)) == (None, 2**11 - 2 + 2**10)
-    # the product counts kept keys only: {a_0,c} is dropped at the root
     inst = pair_c_instance(10)
+    assert _search(inst.sigma, inst.phi) == (None, 2**11 - 2 + 2**10)
+    # the product counts kept keys only: {a_0,c} is dropped at the root
     padded = ImplicationInstance(inst.schema, (*inst.sigma, KeySet.of({0, 20}, {20})), inst.phi)
-    assert _search(padded) == (None, 2**11 - 2 + 2**10)
+    assert _search(padded.sigma, padded.phi) == (None, 2**11 - 2 + 2**10)
     with pytest.raises(ResourceLimit) as err:
         implies(pair_c_instance(11))
     assert (err.value.limit, err.value.size, err.value.cap) == ("search nodes", 2**10 + 1, 2**10)
@@ -325,11 +311,12 @@ def test_search_budget_spares_products_within_the_cap(monkeypatch):
 def test_unary_goals_take_one_node_per_member():
     # a member whose attributes lie inside phi's settles the answer at the
     # root, although the choice product is 2**40
-    assert _search(phi_last_instance(40)) == (None, 0)
-    assert implies(phi_last_instance(40)) == Decision(True, None)
+    inst = phi_last_instance(40)
+    assert _search(inst.sigma, inst.phi) == (None, 0)
+    assert implies(inst) == Decision(True, None)
     # otherwise no kept key is ever covered: one node per member
     inst = phi_last_instance(40, KeySet.of({80}, {81}))
-    assert _search(inst) == ((0,) * 40 + (1,), 41)
+    assert _search(inst.sigma, inst.phi) == ((0,) * 40 + (1,), 41)
     decision = implies(inst)
     assert not decision.implied
     assert decision.witness.choice[-1] == frozenset({81})
@@ -353,7 +340,7 @@ def test_satisfiable_formula_past_the_choice_product():
     # 2**40 key choices; the search finds a failing one after 46 nodes
     inst = from_3sat(planted_3cnf(4, 40, 80))
     assert len(inst.sigma) == 40
-    assert _search(inst)[1] == 46
+    assert _search(inst.sigma, inst.phi)[1] == 46
     decision = implies(inst)
     assert not decision.implied
     assert witness_refutes(inst, decision.witness)  # satisfies sigma, violates phi

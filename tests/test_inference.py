@@ -9,9 +9,17 @@ separators.
 
 import itertools
 import random
+import time
 
 import pytest
-from conftest import random_choice_map
+from conftest import (
+    UNSAT_15,
+    pair_c_instance,
+    random_choice_map,
+    random_family,
+    random_prefix_table,
+    reference_apply_composition,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -36,6 +44,7 @@ from keysets import (
     simulate_nary,
 )
 from keysets import implication
+from keysets.implication import from_3sat, implies_bruteforce, parse_dimacs
 from keysets.implication import CHOICE_CAP
 from keysets.inference import (
     RULE_COMPOSITION,
@@ -45,6 +54,7 @@ from keysets.inference import (
     CompositionParams,
     RefinementParams,
     UpwardClosureParams,
+    _round_plan,
 )
 
 A, B, C, D = (frozenset({i}) for i in range(4))
@@ -137,6 +147,54 @@ def test_nary_composition_three_premises():
     assert apply_composition(family, choice) == KeySet.of(A | C | D, B | C | D)
 
 
+def test_composition_entry_may_stop_early():
+    # {A} begins both tuples, so one entry inside A's union covers them
+    x1, x2 = KeySet.of(A, B), KeySet.of(C, D)
+    out = apply_composition((x1, x2), {(A,): A, (B, C): B | C, (B, D): B})
+    assert out == KeySet.of(A, B | C, B)
+    with pytest.raises(RuleError, match="escapes the key union"):
+        apply_composition((x1, x2), {(A,): A | C, (B,): B})
+
+
+def test_composition_rejects_keys_outside_the_premises():
+    x1, x2 = KeySet.of(A, B), KeySet.of(C)
+    full = {(A, C): A, (B, C): B}
+    for junk in ((C, A), (A, B), (A, C, D), ()):
+        with pytest.raises(RuleError, match="not drawn from the premises"):
+            apply_composition((x1, x2), {**full, junk: A})
+    with pytest.raises(RuleError, match="extends another entry"):
+        apply_composition((x1, x2), {**full, (A,): A})
+
+
+def test_prefix_tables_match_the_product_walk():
+    rng = random.Random(20261018)
+    schema = Schema.of(*"abcde")
+    for _ in range(300):
+        family = random_family(rng, 5, max_members=4)
+        table = random_prefix_table(rng, family)
+        full = {}
+        for combo in itertools.product(*(ks.sorted_keys for ks in family)):
+            begins = [combo[:k] for k in range(1, len(combo) + 1) if combo[:k] in table]
+            assert len(begins) == 1
+            full[combo] = table[begins[0]]
+        out = apply_composition(family, table)
+        assert out == reference_apply_composition(family, full)
+        assert implies_bruteforce(ImplicationInstance(schema, family, out))
+        gap = dict(table)
+        del gap[rng.choice(list(table))]
+        with pytest.raises(RuleError, match="no entry for key tuple"):
+            apply_composition(family, gap)
+        combo = rng.choice(list(table))
+        if len(combo) < len(family):
+            overlap = {**table, (*combo, family[len(combo)].sorted_keys[0]): combo[0]}
+        elif len(combo) > 1:
+            overlap = {**table, combo[:-1]: combo[0]}
+        else:
+            continue
+        with pytest.raises(RuleError, match="extends another entry"):
+            apply_composition(family, overlap)
+
+
 # --------------------------------------------------------------------------
 # Soundness: rule outputs are implied by their inputs.
 
@@ -173,6 +231,12 @@ def test_check_derivation_running_example(x1, x2, x_goal):
     d = Derivation((x1, x2), (step,), x_goal)
     assert check_derivation(d)
     assert first_invalid_step(d) is None
+    # the same table with one tuple listed twice, the second time with the
+    # same chosen set, is still rejected
+    combo, chosen = next(iter(choice.items()))
+    twice = CompositionParams((*choice.items(), (combo, chosen)))
+    d = Derivation((x1, x2), (DerivationStep(RULE_COMPOSITION, step.refs, twice, x_goal),), x_goal)
+    assert first_invalid_step(d) == 0
 
 
 def test_premise_citation_is_valid(x1):
@@ -236,6 +300,31 @@ def test_later_steps_checked_after_valid_prefix(x1):
 
 # --------------------------------------------------------------------------
 # Simulating n-ary composition with binary steps.
+
+
+# An unsatisfiable 3-CNF formula over 5 variables.
+UNSAT_5 = """\
+p cnf 5 20
+3 -4 5 0 -2 -3 4 0 -1 -2 3 0 -1 2 -3 0 -1 3 4 0 1 2 -5 0 -2 3 4 0 -1 2 3 0 -2 -4 -5 0
+1 -2 -3 0 1 3 4 0 1 -2 5 0 1 2 -3 0 1 2 5 0 3 -4 5 0 2 -3 -5 0 -2 4 5 0 -1 -2 5 0
+-1 -4 -5 0 -1 -2 -5 0
+"""
+
+
+def test_simulate_replays_a_derived_prefix_table():
+    inst = from_3sat(parse_dimacs(UNSAT_5))
+    step = derive_keyset(inst.sigma, inst.phi).steps[0]
+    family = tuple(inst.sigma[i] for _, i in step.refs)
+    assert min(len(combo) for combo, _ in step.params.entries) < len(family)
+    d = simulate_nary(family, step.params.as_mapping())
+    assert check_derivation(d)
+    assert d.conclusion == step.conclusion
+
+
+def test_simulate_missing_entry_is_a_rule_error():
+    family = (KeySet.of(A, B), KeySet.of(C), KeySet.of(D))
+    with pytest.raises(RuleError, match="no entry for key tuple"):
+        _round_plan(A | C | D, family, {(B,): B})
 
 
 def test_simulate_single_premise():
@@ -328,32 +417,52 @@ def test_derive_rejects_empty_premises(x1):
         derive_keyset((), x1)
 
 
-def test_derive_choice_product_cap(monkeypatch):
-    # three premises of two keys each: a product of 8 tuples
-    family = (KeySet.of(A, B), KeySet.of(A, C), KeySet.of(A, D))
-    goal = KeySet.of(A, B | C | D)
+def test_derive_node_cap(monkeypatch):
+    # a choice product of 8; the search behind derive_keyset visits 22 nodes
+    inst = pair_c_instance(3)
     monkeypatch.setattr(implication, "CHOICE_CAP", 7)
     with pytest.raises(ResourceLimit) as err:
-        derive_keyset(family, goal)
-    assert (err.value.limit, err.value.size, err.value.cap) == ("choice product", 8, 7)
+        derive_keyset(inst.sigma, inst.phi)
+    assert (err.value.limit, err.value.size, err.value.cap) == ("search nodes", 8, 7)
     monkeypatch.setattr(implication, "CHOICE_CAP", 8)
-    assert check_derivation(derive_keyset(family, goal))
+    assert check_derivation(derive_keyset(inst.sigma, inst.phi))
 
 
-def test_derive_cap_fails_before_enumerating(monkeypatch):
-    # the goal is refuted by the first key tuple, so only a check made
-    # before enumerating can raise the cap error
-    family = tuple(KeySet.of({2 * i}, {2 * i + 1}) for i in range(40))
-    goal = KeySet.of(frozenset(range(80)))
+def test_derive_refuses_what_implies_refuses():
+    # a product of 2**20, past the cap, that nothing prunes early
+    inst = pair_c_instance(20)
     with pytest.raises(ResourceLimit) as err:
-        derive_keyset(family, goal)
-    assert (err.value.size, err.value.cap) == (2**40, CHOICE_CAP)
-    monkeypatch.setattr(implication, "CHOICE_CAP", 2**40 - 1)
-    with pytest.raises(ResourceLimit):
-        derive_keyset(family, goal)
-    monkeypatch.setattr(implication, "CHOICE_CAP", 2**40)
+        derive_keyset(inst.sigma, inst.phi)
+    assert (err.value.limit, err.value.size, err.value.cap) == ("search nodes", CHOICE_CAP + 1, CHOICE_CAP)
+    # the first key tuple refutes this goal, although the product is 2**40
+    family = tuple(KeySet.of({2 * i}, {2 * i + 1}) for i in range(40))
     with pytest.raises(RuleError, match="not implied"):
-        derive_keyset(family, goal)
+        derive_keyset(family, KeySet.of(frozenset(range(80))))
+
+
+def test_derive_composes_a_premise_that_alone_implies_the_goal():
+    # the third premise's keys all lie inside the goal keys they contain
+    family = (KeySet.of(A | D, B | D), KeySet.of(D), KeySet.of(A | B, C))
+    d = derive_keyset(family, KeySet.of(A, B, C))
+    assert check_derivation(d)
+    assert d.steps[0].refs == (("p", 2),)
+    assert [s.rule for s in d.steps] == [RULE_NARY, RULE_REFINEMENT]
+
+
+def test_derived_table_is_read_off_the_search():
+    inst = from_3sat(parse_dimacs(UNSAT_15))
+    started = time.perf_counter()
+    d = derive_keyset(inst.sigma, inst.phi)
+    text = format_derivation(d, inst.schema)
+    parsed, schema = parse_derivation(text)
+    assert check_derivation(parsed)
+    assert time.perf_counter() - started < 1
+    assert (parsed, schema) == (d, inst.schema)
+    # the search visits 1,580 nodes of a 2**15 product; the table has an
+    # entry per pruned prefix, each mapped straight to one clause's key
+    assert len(d.steps[0].params.entries) == 791
+    assert [s.rule for s in d.steps] == [RULE_NARY, RULE_UPWARD]
+    assert len(text.encode()) == 80064
 
 
 def test_derivation_shape_is_nary_refinements_upward():
@@ -386,6 +495,7 @@ def test_derivation_shape_is_nary_refinements_upward():
         assert rules.count(RULE_UPWARD) <= 1
         middle = rules[1 : -1 if rules[-1] == RULE_UPWARD else len(rules)]
         assert all(r == RULE_REFINEMENT for r in middle)
+        assert parse_derivation(format_derivation(d, schema)) == (d, schema)
     assert derived > 20
 
 
