@@ -41,7 +41,6 @@ from .core import (
     KeySet,
     KeySetFamily,
     ParseError,
-    ResourceLimit,
     Schema,
     _QUOTED_BODY,
     _parse_sets,
@@ -126,7 +125,8 @@ def apply_composition(
     # tails[k]: the number of full key tuples that k keys begin
     tails = [1]
     for ks in reversed(family):
-        tails.insert(0, tails[0] * len(ks))
+        tails.append(tails[-1] * len(ks))
+    tails.reverse()
     counted = 0
     out: set[AttrSet] = set()
     for combo, chosen in choice.items():
@@ -434,8 +434,8 @@ def derive_keyset(premises: Sequence[KeySet], goal: KeySet) -> Derivation:
     holds one of its keys; when there is none, the union of the goal keys
     inside its key union, which refinements then split back into those
     keys. Raises :class:`RuleError` when ``goal`` is not implied, and
-    :class:`ResourceLimit` where :func:`~keysets.implication.implies`
-    does.
+    :class:`~keysets.core.ResourceLimit` where
+    :func:`~keysets.implication.implies` does.
     """
     premises = tuple(premises)
     if not premises:
