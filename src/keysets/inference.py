@@ -447,22 +447,19 @@ def derive_keyset(premises: Sequence[KeySet], goal: KeySet) -> Derivation:
     if not leaves:  # some premise lost every key
         refs = [next(i for i, p in enumerate(premises) if implication._search((p,), goal)[0] is None)]
     family = [premises[i] for i in refs]
-    # every entered node at depth k has each kept key of member k as a child
-    kept: list[set[int]] = [set() for _ in family]
-    for leaf in leaves:
-        for k, i in enumerate(leaf):
-            kept[k].add(i)
-    dropped_leaves = []
+    # every entered node at depth k has each kept key of member k as a child;
+    # the leaves added for the dropped ones end at depth k, so later k skip them
     for k, ks in enumerate(family):
-        dropped = [i for i in range(len(ks)) if i not in kept[k]]
+        kept = {leaf[k] for leaf in leaves if len(leaf) > k}
+        dropped = [i for i in range(len(ks)) if i not in kept]
         if dropped:
             entered = {leaf[:k] for leaf in leaves if len(leaf) > k} if k else {()}
-            dropped_leaves += [node + (i,) for node in entered for i in dropped]
+            leaves += [node + (i,) for node in entered for i in dropped]
 
     goal_keys = goal.sorted_keys
     entries = []
     parts_for: dict[AttrSet, tuple[AttrSet, ...]] = {}
-    for leaf in sorted(leaves + dropped_leaves):
+    for leaf in sorted(leaves):
         combo = tuple(family[k].sorted_keys[i] for k, i in enumerate(leaf))
         union = frozenset().union(*combo)
         zs = tuple(y for y in goal_keys if y <= union)
