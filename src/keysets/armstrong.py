@@ -43,43 +43,40 @@ class Hypergraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", frozenset(frozenset(e) for e in self.edges))
-        width = len(self.schema)
         for edge in self.edges:
             if not edge:
                 raise ValueError("hypergraph edges must be non-empty")
-            if any(v >= width for v in edge):
+            if any(not isinstance(v, int) or not 0 <= v < len(self.schema) for v in edge):
                 raise ValueError("edge vertex outside the schema")
 
 
-def _minimal_only(sets: set[AttrSet]) -> set[AttrSet]:
-    kept: list[AttrSet] = []
-    for s in sorted(sets, key=len):
-        if not any(k < s for k in kept):
-            kept.append(s)
-    return set(kept)
-
-
 def minimal_transversals(h: Hypergraph) -> tuple[AttrSet, ...]:
-    """All minimal hitting sets, built edge by edge.
+    """All minimal hitting sets, built edge by edge (Berge's algorithm).
 
-    Partial transversals are extended with each new edge's vertices and
-    pruned to minimal ones after every edge. The output can be exponential
-    in the number of edges (n disjoint edges of two vertices have 2^n
-    minimal transversals), so a grown family of more than
-    :data:`TRANSVERSAL_CAP` sets raises :class:`ResourceLimit`.
+    Let ``T`` be the minimal transversals of the edges seen so far, ``hit``
+    its members that meet the next edge ``e`` and ``miss`` the rest. With
+    ``e`` added they are ``hit`` plus every ``t | {v}`` (``t`` in ``miss``,
+    ``v`` in ``e``) that holds no ``u`` in ``hit``. Such a ``u`` meets ``e``
+    in ``v`` alone, since ``t`` misses ``e``, so only those are tested.
+    Grown sets are distinct and hold no other member: no second pass. More
+    than :data:`TRANSVERSAL_CAP` sets for the edges seen so far (n disjoint
+    pairs have 2^n) raise :class:`ResourceLimit`.
     """
-    partial: set[AttrSet] = {frozenset()}
+    partial = [0]
     for edge in sorted(h.edges, key=attr_sort_key):
-        grown: set[AttrSet] = set()
-        for t in partial:
-            if t & edge:
-                grown.add(t)
-            else:
-                grown.update(t | {v} for v in edge)
-        if len(grown) > TRANSVERSAL_CAP:
-            raise ResourceLimit("partial transversal family", len(grown), TRANSVERSAL_CAP)
-        partial = _minimal_only(grown)
-    return tuple(sorted(partial, key=attr_sort_key))
+        e = sum(1 << v for v in edge)
+        hit = [u for u in partial if u & e]
+        # per vertex bit of e: each hitting set meeting e in that bit alone, less e
+        rests: dict[int, list[int]] = {1 << v: [] for v in edge}
+        for u in hit:
+            if u & e in rests:
+                rests[u & e].append(u & ~e)
+        miss = [t for t in partial if not t & e]
+        partial = hit + [t | b for t in miss for b, rest in rests.items() if all(r & ~t for r in rest)]
+        if len(partial) > TRANSVERSAL_CAP:
+            raise ResourceLimit("partial transversal family", len(partial), TRANSVERSAL_CAP)
+    sets = (frozenset(v for v in range(t.bit_length()) if t >> v & 1) for t in partial)
+    return tuple(sorted(sets, key=attr_sort_key))
 
 
 @dataclass(frozen=True)

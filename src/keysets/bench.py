@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import KeySet, Relation, Schema, format_keyset
-from .validation import violating_blocks, violating_tuples_naive
+from .validation import satisfies, violating_blocks, violating_tuples_naive
 
 __all__ = [
     "BenchReport",
@@ -206,7 +206,7 @@ def violation_percentage(relation: Relation, keysets: Sequence[KeySet]) -> float
     """Fraction in [0, 1] of the key sets the relation violates."""
     if not keysets:
         raise ValueError("need at least one key set")
-    violated = sum(1 for ks in keysets if violating_blocks(relation, ks))
+    violated = sum(1 for ks in keysets if not satisfies(relation, ks))
     return violated / len(keysets)
 
 

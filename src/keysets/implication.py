@@ -346,9 +346,15 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(tuple(f"x{i}" for i in range(1, num_vars + 1)), tuple(clauses))
 
 
+def _occurring(formula: CnfFormula) -> list[str]:
+    """The variables some clause mentions, in declaration order."""
+    seen = {var for clause in formula.clauses for var, _ in clause}
+    return [v for v in formula.variables if v in seen]
+
+
 def satisfiable(formula: CnfFormula) -> bool:
     """Truth-table satisfiability over the variables that actually occur."""
-    used = [v for v in formula.variables if any((v, True) in c or (v, False) in c for c in formula.clauses)]
+    used = _occurring(formula)
     for values in itertools.product((False, True), repeat=len(used)):
         assignment = dict(zip(used, values))
         if all(any(assignment[var] == pos for var, pos in clause) for clause in formula.clauses):
@@ -369,11 +375,7 @@ def from_3sat(formula: CnfFormula) -> ImplicationInstance:
     """
     if not formula.clauses:
         raise ValueError("formula has no clauses")
-    used = [
-        v
-        for v in formula.variables
-        if any((v, True) in c or (v, False) in c for c in formula.clauses)
-    ]
+    used = _occurring(formula)
     for var in used:
         if var.startswith("not_"):
             raise ValueError(f"variable name {var!r} collides with the not_ prefix")

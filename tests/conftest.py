@@ -214,6 +214,16 @@ def pair_c_instance(pairs: int) -> ImplicationInstance:
     return ImplicationInstance(schema, (*sigma, KeySet.of({c})), KeySet.of({0, c}, {1, c}))
 
 
+def random_keys_family() -> tuple[Schema, tuple[KeySet, ...]]:
+    """30 random 4-attribute keys over 24 attributes, drawn with
+    ``random.Random(5)``: 4,630 minimal transversals, but a Berge loop
+    that grows each edge's family before pruning it reaches 5,215 sets,
+    past ``TRANSVERSAL_CAP``."""
+    rng = random.Random(5)
+    schema = Schema(tuple(f"a{i}" for i in range(24)))
+    return schema, tuple(KeySet.of(set(rng.sample(range(24), 4))) for _ in range(30))
+
+
 def random_keyset(rng: random.Random, width: int, max_keys: int = 3, max_key_size: int = 3) -> KeySet:
     # narrow schemas admit few distinct keys, so cap the draw accordingly
     available = sum(math.comb(width, n) for n in range(1, min(max_key_size, width) + 1))

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from conftest import random_family
+from conftest import random_family, random_keys_family
 from keysets import (
     AntiKeyReport,
     Hypergraph,
@@ -73,13 +73,15 @@ def test_transversals_no_edges(abcd_schema):
 
 
 def test_transversals_match_oracle_on_random_hypergraphs():
+    # up to 10 edges over up to 9 vertices, so nested and overlapping
+    # edges meet the hitting sets each new edge is tested against
     rng = random.Random(20240820)
-    for _ in range(60):
-        width = rng.randint(2, 6)
+    for _ in range(200):
+        width = rng.randint(2, 9)
         schema = Schema(tuple(f"c{i}" for i in range(width)))
         edges = frozenset(
             frozenset(rng.sample(range(width), rng.randint(1, width)))
-            for _ in range(rng.randint(1, 4))
+            for _ in range(rng.randint(1, 10))
         )
         h = Hypergraph(schema, edges)
         assert minimal_transversals(h) == transversals_oracle(edges, width)
@@ -90,6 +92,10 @@ def test_hypergraph_validation(ward_schema):
         Hypergraph(ward_schema, frozenset({frozenset()}))
     with pytest.raises(ValueError, match="outside the schema"):
         Hypergraph(ward_schema, frozenset({frozenset({7})}))
+    with pytest.raises(ValueError, match="outside the schema"):
+        Hypergraph(Schema.of("a", "b"), frozenset({frozenset({-1}), frozenset({0})}))
+    with pytest.raises(ValueError, match="outside the schema"):
+        Hypergraph(Schema.of("a", "b"), frozenset({frozenset({"a"})}))
 
 
 # --------------------------------------------------------------------------
@@ -216,6 +222,18 @@ def test_transversal_cap(monkeypatch):
         with pytest.raises(ResourceLimit) as err:
             call()
         assert (err.value.limit, err.value.size, err.value.cap) == ("partial transversal family", 64, 32)
+
+
+def test_random_keys_family_fits_the_cap():
+    # the cap counts minimal families only; on this one the largest is the answer
+    schema, sigma = random_keys_family()
+    report = anti_keys(sigma, schema)
+    assert len(report.transversals) == 4630 < armstrong.TRANSVERSAL_CAP
+    assert report.transversals == tuple(sorted(report.transversals, key=attr_sort_key))
+    unions = [ks.attributes for ks in sigma]
+    for t in report.transversals[::97]:
+        assert all(t & u for u in unions)
+        assert all(any(not (t - {v}) & u for u in unions) for v in t)
 
 
 def test_armstrong_contract_on_random_families():

@@ -22,13 +22,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import WARD_CSV, pair_c_instance
+from conftest import WARD_CSV, pair_c_instance, random_keys_family
 from keysets import (
     GeneratorSpec,
     KeySet,
     ResourceLimit,
+    anti_keys,
     block_trace,
     derive_keyset,
+    format_attr_set,
     format_derivation,
     format_keyset,
     format_schema,
@@ -434,6 +436,17 @@ def test_transversal_cap_exits_3(tmp_path, capsys):
         assert captured.err == (
             f"error: partial transversal family has 8192 elements, cap is {TRANSVERSAL_CAP}\n"
         )
+
+
+def test_random_keys_family_antikeys_exits_0(tmp_path, capsys):
+    # its 4,630 anti-keys fit the cap, which counts minimal transversals only
+    schema, sigma = random_keys_family()
+    path = tmp_path / "keys.txt"
+    path.write_text("".join(format_keyset(ks, schema) + "\n" for ks in sigma), encoding="utf-8")
+    assert run_cli(["antikeys", "--schema", format_schema(schema), "--sigma", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4630
+    assert lines == [format_attr_set(a, schema) for a in anti_keys(sigma, schema).anti_keys]
 
 
 def test_block_row_cap_exits_3(ward_csv, monkeypatch, capsys):

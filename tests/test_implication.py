@@ -528,6 +528,27 @@ def test_from_3sat_rejects_prefix_collision():
         from_3sat(formula)
 
 
+def test_from_3sat_is_linear_in_the_formula():
+    rng = random.Random(8000)
+    variables = tuple(f"x{i}" for i in range(1, 8001))
+    clauses = tuple(
+        frozenset((v, rng.random() < 0.5) for v in rng.sample(variables, 3)) for _ in range(8000)
+    )
+    formula = CnfFormula(variables, clauses)
+    started = time.perf_counter()
+    inst = from_3sat(formula)
+    assert time.perf_counter() - started < 1
+    occurring = {var for clause in clauses for var, _ in clause}
+    used = [v for v in variables if v in occurring]
+    assert len(used) < len(variables)
+    assert inst.schema.attributes == tuple(name for v in used for name in (v, f"not_{v}"))
+    assert inst.sigma == tuple(KeySet.of({2 * i}, {2 * i + 1}) for i in range(len(used)))
+    literal = {name: i for i, name in enumerate(inst.schema.attributes)}
+    assert inst.phi.keys == {
+        frozenset(literal[v if pos else f"not_{v}"] for v, pos in clause) for clause in clauses
+    }
+
+
 def random_cnf(rng: random.Random, max_vars: int = 4, max_clauses: int = 6) -> CnfFormula:
     nvars = rng.randint(1, max_vars)
     variables = tuple(f"x{i}" for i in range(1, nvars + 1))
