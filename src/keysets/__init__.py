@@ -22,7 +22,6 @@ from .armstrong import (
 )
 from .bench import (
     BenchReport,
-    GeneratorSpec,
     gen_random_keyset,
     gen_sequential_keysets,
     run_bench,

@@ -144,9 +144,10 @@ def is_armstrong_unary(relation: Relation, sigma: Sequence[KeySet]) -> bool:
     codes = relation.codes
     patterns: set[bytes] = set()
     for i in range(len(codes) - 1):
-        # row i's agreement with each later row: equal codes, both present
-        patterns.update(map(bytes, (codes[i + 1 :] == codes[i]) & (codes[i] >= 0)))
-    agreements = {frozenset(np.flatnonzero(np.frombuffer(p, dtype=bool)).tolist()) for p in patterns}
+        # row i's distinct agreements with later rows: equal codes, both present
+        packed = np.packbits((codes[i + 1 :] == codes[i]) & (codes[i] >= 0), axis=1)
+        patterns.update(np.unique(packed.view(f"V{packed.shape[1]}")).tolist())
+    agreements = {frozenset(np.flatnonzero(np.unpackbits(np.frombuffer(p, np.uint8))).tolist()) for p in patterns}
     safe = not any(u <= agree for u in unions for agree in agreements)
     return safe and all(anti in agreements for anti in report.anti_keys)
 

@@ -10,14 +10,12 @@ Randomness comes from the Mersenne Twister (``random.Random``) with an
 explicit seed and an explicit partial Fisher-Yates selection, so the
 same seed reproduces the same workload everywhere.
 
-Reports serialize to JSON lines and CSV; each carries the raw repeat
-times (warm-up excluded), their mean, and the violation counts.
+Reports serialize to JSON lines; each carries the raw repeat times
+(warm-up excluded), their mean, and the violation counts.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 import time
@@ -29,30 +27,14 @@ from .validation import satisfies, violating_blocks, violating_tuples_naive
 
 __all__ = [
     "BenchReport",
-    "GeneratorSpec",
     "format_table",
     "gen_random_keyset",
     "gen_sequential_keysets",
-    "keysets_from_spec",
-    "reports_to_csv",
     "reports_to_jsonl",
     "run_bench",
     "synthetic_relation",
     "violation_percentage",
 ]
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    mode: str
-    param: int
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("sequential", "random"):
-            raise ValueError(f"unknown generator mode {self.mode!r}")
-        if self.param < 1:
-            raise ValueError("generator parameter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,24 +88,6 @@ def gen_random_keyset(schema: Schema, m: int, seed: int | None = None) -> KeySet
     return KeySet(frozenset(keys))
 
 
-def keysets_from_spec(schema: Schema, spec: GeneratorSpec, count: int = 1) -> tuple[KeySet, ...]:
-    """Materialize a generator spec.
-
-    Sequential mode yields the single X_param (``count`` is ignored);
-    random mode yields ``count`` key sets, at least one, with seeds seed,
-    seed+1, ...
-    """
-    if spec.mode == "sequential":
-        family = gen_sequential_keysets(schema)
-        if spec.param > len(family):
-            raise ValueError(f"sequential index {spec.param} exceeds schema size {len(family)}")
-        return (family[spec.param - 1],)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    base = spec.seed if spec.seed is not None else 0
-    return tuple(gen_random_keyset(schema, spec.param, base + i) for i in range(count))
-
-
 def synthetic_relation(
     schema: Schema,
     rows: int,
@@ -166,7 +130,6 @@ def run_bench(
     algo: str = "linear",
     repeats: int = 10,
     dataset: str = "",
-    labels: Sequence[str] | None = None,
 ) -> list[BenchReport]:
     """Time one validation algorithm over each key set.
 
@@ -179,8 +142,7 @@ def run_bench(
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     reports = []
-    for pos, ks in enumerate(keysets):
-        label = labels[pos] if labels is not None else format_keyset(ks, relation.schema)
+    for ks in keysets:
         if algo == "naive":
             times, result = _measure(lambda: violating_tuples_naive(relation, ks), repeats)
             violating, blocks = len(result), None
@@ -190,7 +152,7 @@ def run_bench(
         reports.append(
             BenchReport(
                 dataset=dataset,
-                keyset=label,
+                keyset=format_keyset(ks, relation.schema),
                 algo=algo,
                 repeats=repeats,
                 times_ms=times,
@@ -212,28 +174,6 @@ def violation_percentage(relation: Relation, keysets: Sequence[KeySet]) -> float
 
 def reports_to_jsonl(reports: Sequence[BenchReport]) -> str:
     return "".join(json.dumps(r.to_dict(), sort_keys=False) + "\n" for r in reports)
-
-
-def reports_to_csv(reports: Sequence[BenchReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["dataset", "keyset", "algo", "repeats", "times_ms", "mean_ms", "violating_tuples", "blocks"]
-    )
-    for r in reports:
-        writer.writerow(
-            [
-                r.dataset,
-                r.keyset,
-                r.algo,
-                r.repeats,
-                " ".join(f"{t:.3f}" for t in r.times_ms),
-                f"{r.mean_ms:.3f}",
-                r.violating_tuples,
-                "" if r.blocks is None else r.blocks,
-            ]
-        )
-    return buf.getvalue()
 
 
 def format_table(reports: Sequence[BenchReport]) -> str:

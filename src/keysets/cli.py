@@ -29,14 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .armstrong import _armstrong_chain, anti_keys
-from .bench import (
-    GeneratorSpec,
-    format_table,
-    gen_sequential_keysets,
-    keysets_from_spec,
-    reports_to_jsonl,
-    run_bench,
-)
+from .bench import format_table, gen_random_keyset, gen_sequential_keysets, reports_to_jsonl, run_bench
 from .core import (
     KeySet,
     ParseError,
@@ -195,13 +188,20 @@ def _cmd_antikeys(args: argparse.Namespace) -> int:
 
 def _generated_keysets(args: argparse.Namespace, schema: Schema) -> tuple[KeySet, ...]:
     """The key sets that ``--mode``, ``--param``, ``--seed`` and ``--count`` ask for."""
+    if args.param is not None and args.param < 1:
+        raise ValueError("generator parameter must be >= 1")
     if args.mode == "sequential":
+        family = gen_sequential_keysets(schema)
         if args.param is None:
-            return gen_sequential_keysets(schema)
-        return keysets_from_spec(schema, GeneratorSpec("sequential", args.param))
+            return family
+        if args.param > len(family):
+            raise ValueError(f"sequential index {args.param} exceeds schema size {len(family)}")
+        return (family[args.param - 1],)
     if args.param is None:
         raise IngestError("--param (random key size m) is required for random mode")
-    return keysets_from_spec(schema, GeneratorSpec("random", args.param, args.seed), count=args.count)
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
+    return tuple(gen_random_keyset(schema, args.param, (args.seed or 0) + i) for i in range(args.count))
 
 
 def _cmd_gen_keysets(args: argparse.Namespace) -> int:

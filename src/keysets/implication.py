@@ -8,18 +8,18 @@ chosen keys; the choice is fine iff some chosen key is contained in the
 union of that collection. If every choice is fine, ``phi`` is implied.
 A failing choice yields a two-row counterexample relation directly.
 
-``implies`` drops each key inside the keys of ``phi`` it contains (any
-choice holding it is fine), then picks the kept keys depth first and
-skips every completion of a prefix that is already fine: the chosen keys
-and the keys of ``phi`` inside their union only grow as keys are added.
-The witness is the canonically smallest failing choice. For a unary
-``phi`` the drop is the paper's criterion, and no kept key is ever
-covered, so at most ``len(sigma)`` nodes are visited. In general the
-problem is coNP-complete; the search stops after :data:`CHOICE_CAP`
-nodes unless the kept keys' choice product is within that cap too.
-:func:`~keysets.inference.derive_keyset` runs the same search and reads
-its proof off the prefixes it prunes, so a proof has the size of the
-search tree, not of the product.
+``implies`` picks keys depth first. It skips each key inside the keys of
+``phi`` it contains (any choice holding it is fine), and every
+completion of a prefix that is already fine: the chosen keys and the
+keys of ``phi`` inside their union only grow as keys are added. The
+witness is the canonically smallest failing choice. For a unary ``phi``
+the skip is the paper's criterion, and no kept key is ever covered, so
+at most ``len(sigma)`` nodes are visited. In general the problem is
+coNP-complete; the search stops after :data:`CHOICE_CAP` nodes unless
+the kept keys' choice product is within that cap too. The search can
+record each skipped key and pruned prefix in place, in order: that is
+the choice table :func:`~keysets.inference.derive_keyset` writes as its
+proof, of the size of the search tree, not of the product.
 
 An empty ``sigma`` implies nothing: two identical total rows satisfy
 every member of the empty family and violate any key set.
@@ -155,25 +155,25 @@ def _search(
     """The first failing choice, as one key index per member of a
     non-empty ``sigma``, or ``None``; and the number of nodes visited.
 
-    Keys ``x ⊆ covered(x)`` are dropped first, in order; a key smaller
-    than every key of ``phi`` never is. ``(None, 0)`` if a member loses
-    every key. A node picks the next member's kept key after a prefix. The
+    The walk takes each member's keys in index order and skips a key
+    ``x ⊆ covered(x)`` where it reaches it: no node, and not counted in
+    the budget or the product. A key smaller than every key of ``phi``
+    never is. ``(None, 0)`` if a member has only skipped keys. A node's
     prefix is fine, and its subtree skipped, once one of its keys lies
     inside ``covered(union)``, the union of the keys of ``phi`` inside the
-    prefix's union: both only grow as keys are added. Each such pruned
-    prefix is appended to ``leaves``, when given, as one index into
-    ``sorted_keys`` per member it spans. Attribute sets are int bitmasks;
-    while ``covered`` stays as it was at the parent, only the new key
-    needs the test. Raises :class:`ResourceLimit` on node
-    ``CHOICE_CAP + 1`` when the kept keys' choice product exceeds it.
+    prefix's union: both only grow as keys are added. Skipped keys and
+    pruned prefixes go to ``leaves``, when given, in order, as key indices
+    per member spanned. Attribute sets are int bitmasks; while ``covered``
+    stays as it was at the parent, only the new key needs the test.
+    Raises :class:`ResourceLimit` on node ``CHOICE_CAP + 1`` when the kept
+    keys' choice product exceeds it.
     """
     goal = [_mask(y) for y in phi.sorted_keys]
-    masks = [[_mask(x) for x in ks.sorted_keys] for ks in sigma]
     least = min(y.bit_count() for y in goal)
-    index = [[i for i, x in enumerate(keys) if x.bit_count() < least or x & ~_covered(x, goal)] for keys in masks]
-    if not all(index):
+    masks = [[_mask(x) for x in ks.sorted_keys] for ks in sigma]
+    members = [[x if x.bit_count() < least or x & ~_covered(x, goal) else 0 for x in keys] for keys in masks]  # 0: skipped
+    if not all(any(keys) for keys in members):
         return None, 0
-    members = [[keys[i] for i in ix] for keys, ix in zip(masks, index)]
     depth = len(members)
     picks = [-1] * depth
     chosen = [0] * depth
@@ -181,7 +181,7 @@ def _search(
     covers = [0] * (depth + 1)
     nodes = 0
     cap = CHOICE_CAP
-    product = prod(len(keys) for keys in members)
+    product = prod(len(keys) - keys.count(0) for keys in members)
     d = 0
     while d >= 0:
         picks[d] += 1
@@ -189,24 +189,25 @@ def _search(
             picks[d] = -1
             d -= 1
             continue
-        nodes += 1
-        if nodes > cap and product > cap:
-            raise ResourceLimit("search nodes", nodes, cap)
         x = chosen[d] = members[d][picks[d]]
-        union = unions[d] | x
-        covered = covers[d]
-        for y in goal:
-            if y & union == y:
-                covered |= y
-        if x & covered == x or covered != covers[d] and any(c & covered == c for c in chosen[:d]):
-            if leaves is not None:
-                leaves.append(tuple(ix[p] for ix, p in zip(index, picks[: d + 1])))
-            continue
-        if d + 1 == depth:
-            return tuple(ix[p] for ix, p in zip(index, picks)), nodes
-        unions[d + 1] = union
-        covers[d + 1] = covered
-        d += 1
+        if x:
+            nodes += 1
+            if nodes > cap and product > cap:
+                raise ResourceLimit("search nodes", nodes, cap)
+            union = unions[d] | x
+            covered = covers[d]
+            for y in goal:
+                if y & union == y:
+                    covered |= y
+            if not (x & covered == x or covered != covers[d] and any(c & covered == c for c in chosen[:d])):
+                if d + 1 == depth:
+                    return tuple(picks), nodes
+                unions[d + 1] = union
+                covers[d + 1] = covered
+                d += 1
+                continue
+        if leaves is not None:
+            leaves.append(tuple(picks[: d + 1]))
     return None, nodes
 
 
@@ -290,11 +291,11 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF; variables are named x1..xV.
 
     Clauses longer than three literals are rejected, as is a clause with
-    no literals or a missing terminating 0. A problem line may declare at
-    most :data:`DIMACS_VARIABLE_CAP` variables, because one name is built
-    per declared variable. Every error is a
-    :class:`ParseError` that names the line; errors found at the end of
-    the input name its last line.
+    no literals, a missing terminating 0 or a second problem line. A
+    problem line may declare at most :data:`DIMACS_VARIABLE_CAP`
+    variables, because one name is built per declared variable. Every
+    error is a :class:`ParseError` that names the line; errors found at
+    the end of the input name its last line.
     """
     num_vars: int | None = None
     clauses: list[frozenset[Literal]] = []
@@ -309,6 +310,8 @@ def parse_dimacs(text: str) -> CnfFormula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise fail("second problem line")
             parts = line.split()
             try:
                 counts = [int(part) for part in parts[2:]]

@@ -16,8 +16,9 @@ any n-ary application as a derivation using only binary Composition steps
 plus at most one final Upward closure, and :func:`derive_keyset` builds,
 for any implied key set, a derivation of the shape one n-ary Composition,
 then Refinements, then at most one Upward closure. Its choice table is
-read off the implication search, one entry per pruned prefix, so a proof
-has the size of the search tree rather than of the key-choice product.
+the implication search's own record, one entry per key it skips and per
+prefix it prunes, so a proof has the size of the search tree rather than
+of the key-choice product.
 
 Derivations are explicit objects: premises, steps with rule name,
 references, parameters and claimed conclusion, and a final conclusion.
@@ -170,9 +171,10 @@ class RefinementParams:
 @dataclass(frozen=True)
 class CompositionParams:
     """Choice entries ((K1, ..., Kk), Z), k <= n, each standing for every
-    full key tuple it begins; :func:`derive_keyset` lists them in order of
-    their key indices. :func:`check_derivation` rejects a key tuple that
-    is listed twice, which :meth:`as_mapping` would collapse."""
+    full key tuple it begins; :func:`derive_keyset` lists them as the
+    search records them, in order of their key indices.
+    :func:`check_derivation` rejects a key tuple that is listed twice,
+    which :meth:`as_mapping` would collapse."""
 
     entries: tuple[tuple[tuple[AttrSet, ...], AttrSet], ...]
 
@@ -427,13 +429,13 @@ def derive_keyset(premises: Sequence[KeySet], goal: KeySet) -> Derivation:
     """Derivation of an implied ``goal``: one n-ary Composition, then
     Refinements, then at most one Upward closure.
 
-    The composition's choice table is read off the implication search:
-    one entry per prefix it prunes, and one per key its root step dropped
-    under each node it entered. A premise that lost every key composes
-    alone. An entry chooses the first goal key inside its key union that
-    holds one of its keys; when there is none, the union of the goal keys
-    inside its key union, which refinements then split back into those
-    keys. Raises :class:`RuleError` when ``goal`` is not implied, and
+    The composition's choice table is the implication search's record:
+    one entry per key it skips and per prefix it prunes, in order. A
+    premise whose every key is skipped composes alone. An entry chooses
+    the first goal key inside its key union that holds one of its keys;
+    when there is none, the union of the goal keys inside its key union,
+    which refinements then split back into those keys. Raises
+    :class:`RuleError` when ``goal`` is not implied, and
     :class:`~keysets.core.ResourceLimit` where
     :func:`~keysets.implication.implies` does.
     """
@@ -444,22 +446,14 @@ def derive_keyset(premises: Sequence[KeySet], goal: KeySet) -> Derivation:
     if implication._search(premises, goal, leaves)[0] is not None:
         raise RuleError("goal is not implied by the premises")
     refs = range(len(premises))
-    if not leaves:  # some premise lost every key
+    if not leaves:  # the search stopped at a premise whose every key is skipped
         refs = [next(i for i, p in enumerate(premises) if implication._search((p,), goal)[0] is None)]
+        leaves = [(i,) for i in range(len(premises[refs[0]]))]
     family = [premises[i] for i in refs]
-    # every entered node at depth k has each kept key of member k as a child;
-    # the leaves added for the dropped ones end at depth k, so later k skip them
-    for k, ks in enumerate(family):
-        kept = {leaf[k] for leaf in leaves if len(leaf) > k}
-        dropped = [i for i in range(len(ks)) if i not in kept]
-        if dropped:
-            entered = {leaf[:k] for leaf in leaves if len(leaf) > k} if k else {()}
-            leaves += [node + (i,) for node in entered for i in dropped]
-
     goal_keys = goal.sorted_keys
     entries = []
     parts_for: dict[AttrSet, tuple[AttrSet, ...]] = {}
-    for leaf in sorted(leaves):
+    for leaf in leaves:
         combo = tuple(family[k].sorted_keys[i] for k, i in enumerate(leaf))
         union = frozenset().union(*combo)
         zs = tuple(y for y in goal_keys if y <= union)

@@ -12,10 +12,10 @@ import pytest
 
 from keysets import (
     BenchReport,
-    GeneratorSpec,
     KeySet,
     Relation,
     Schema,
+    format_keyset,
     gen_random_keyset,
     gen_sequential_keysets,
     run_bench,
@@ -24,7 +24,7 @@ from keysets import (
     violating_tuples_naive,
     violation_percentage,
 )
-from keysets.bench import format_table, keysets_from_spec, reports_to_csv, reports_to_jsonl
+from keysets.bench import format_table, reports_to_jsonl
 
 SCHEMA6 = Schema.of(*"abcdef")
 
@@ -67,28 +67,6 @@ def test_random_keyset_size_validation():
         gen_random_keyset(SCHEMA6, 0)
     with pytest.raises(ValueError, match="between 1 and 6"):
         gen_random_keyset(SCHEMA6, 7)
-
-
-def test_generator_spec_validation():
-    with pytest.raises(ValueError, match="unknown generator mode"):
-        GeneratorSpec("walk", 1)
-    with pytest.raises(ValueError, match="must be >= 1"):
-        GeneratorSpec("random", 0)
-
-
-def test_keysets_from_spec_sequential(abcd_schema):
-    family = gen_sequential_keysets(abcd_schema)
-    assert keysets_from_spec(abcd_schema, GeneratorSpec("sequential", 2), count=9) == (family[1],)
-    with pytest.raises(ValueError, match="exceeds schema size"):
-        keysets_from_spec(abcd_schema, GeneratorSpec("sequential", 5))
-
-
-def test_keysets_from_spec_random():
-    got = keysets_from_spec(SCHEMA6, GeneratorSpec("random", 2, seed=10), count=3)
-    assert got == tuple(gen_random_keyset(SCHEMA6, 2, 10 + i) for i in range(3))
-    assert keysets_from_spec(SCHEMA6, GeneratorSpec("random", 2), count=1) == (
-        gen_random_keyset(SCHEMA6, 2, 0),
-    )
 
 
 # --------------------------------------------------------------------------
@@ -142,6 +120,7 @@ def test_run_bench_reports_match_direct_validation(small_relation):
         blocks = violating_blocks(small_relation, ks)
         assert rep.algo == "linear"
         assert rep.dataset == "synthetic"
+        assert rep.keyset == format_keyset(ks, SCHEMA6)
         assert rep.repeats == 3 and len(rep.times_ms) == 3
         assert rep.mean_ms == pytest.approx(sum(rep.times_ms) / 3)
         assert rep.violating_tuples == len(blocks.row_ids)
@@ -151,14 +130,6 @@ def test_run_bench_reports_match_direct_validation(small_relation):
         assert rep.violating_tuples == len(violating_tuples_naive(small_relation, ks))
     for lin, nai in zip(linear, naive):
         assert lin.violating_tuples == nai.violating_tuples
-
-
-def test_run_bench_labels(small_relation):
-    keysets = (KeySet.of({0}),)
-    reports = run_bench(small_relation, keysets, repeats=1, labels=("X_1",))
-    assert reports[0].keyset == "X_1"
-    unlabeled = run_bench(small_relation, keysets, repeats=1)
-    assert unlabeled[0].keyset == "{{a}}"
 
 
 def test_run_bench_validation(small_relation):
@@ -223,13 +194,6 @@ def test_jsonl_output(sample_reports):
         ]
         assert doc == rep.to_dict()
     assert json.loads(lines[2])["blocks"] is None
-
-
-def test_csv_output(sample_reports):
-    lines = reports_to_csv(sample_reports).splitlines()
-    assert lines[0] == "dataset,keyset,algo,repeats,times_ms,mean_ms,violating_tuples,blocks"
-    assert len(lines) == 4
-    assert lines[3].endswith(",")  # naive rows have no block count
 
 
 def test_format_table(sample_reports):

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from conftest import WARD_CSV, pair_c_instance, random_keys_family
 from keysets import (
-    GeneratorSpec,
     KeySet,
     ResourceLimit,
     anti_keys,
@@ -47,7 +46,6 @@ from keysets import (
 )
 from keysets import implication, validation
 from keysets.armstrong import TRANSVERSAL_CAP
-from keysets.bench import keysets_from_spec
 from keysets.cli import run_cli
 from keysets.implication import CHOICE_CAP
 
@@ -522,8 +520,41 @@ def test_gen_keysets_count_below_one(count, capsys):
     argv = ["gen-keysets", "--schema", "a,b,c", "--mode", "random", "--param", "2", "--count", count]
     assert run_cli(argv) == 2
     assert capsys.readouterr() == ("", "error: count must be >= 1\n")
-    with pytest.raises(ValueError, match="count must be >= 1"):
-        keysets_from_spec(parse_schema("a,b,c"), GeneratorSpec("random", 2), count=int(count))
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--mode", "walk", "--param", "1"], "invalid choice: 'walk'"),
+        (["--mode", "random", "--param", "0"], "error: generator parameter must be >= 1\n"),
+        (["--mode", "sequential", "--param", "0"], "error: generator parameter must be >= 1\n"),
+        (["--mode", "sequential", "--param", "5"], "error: sequential index 5 exceeds schema size 4\n"),
+    ],
+    ids=["unknown-mode", "random-param-0", "sequential-param-0", "sequential-index-past-schema"],
+)
+def test_gen_keysets_rejects_bad_generator_arguments(args, message, capsys):
+    assert run_cli(["gen-keysets", "--schema", "a,b,c,d", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_gen_keysets_sequential_ignores_count(capsys):
+    argv = ["gen-keysets", "--schema", "a,b,c,d", "--mode", "sequential", "--param", "2", "--count", "9"]
+    assert run_cli(argv) == 0
+    schema = parse_schema("a,b,c,d")
+    assert [parse_keyset(line, schema) for line in capsys.readouterr().out.splitlines()] == [
+        gen_sequential_keysets(schema)[1]
+    ]
+
+
+def test_gen_keysets_random_seeds_count_up_from_0(capsys):
+    argv = ["gen-keysets", "--schema", "a,b,c,d,e,f", "--mode", "random", "--param", "2", "--count", "2"]
+    assert run_cli(argv) == 0
+    schema = parse_schema("a,b,c,d,e,f")
+    assert [parse_keyset(line, schema) for line in capsys.readouterr().out.splitlines()] == [
+        gen_random_keyset(schema, 2, 0),
+        gen_random_keyset(schema, 2, 1),
+    ]
 
 
 def test_from_3sat_cli(tmp_path, capsys):

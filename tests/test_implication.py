@@ -11,6 +11,7 @@ The 3-CNF reduction is checked against truth-table satisfiability, the
 one tool here that shares no code with the decider.
 """
 
+import itertools
 import random
 import time
 
@@ -257,6 +258,51 @@ def test_search_work_count_on_unsatisfiable_formula():
     assert implies(inst).implied
 
 
+def search_record_instances():
+    rng = random.Random(20261019)
+    schema = Schema.of(*"abcdef")
+    for _ in range(300):
+        (phi,) = random_family(rng, 6, 1, 4)
+        yield ImplicationInstance(schema, random_family(rng, 6, max_members=4), phi)
+    for _ in range(100):
+        variables = tuple(f"x{i}" for i in range(1, rng.randint(1, 6) + 1))
+        clauses = (
+            frozenset((rng.choice(variables), rng.random() < 0.5) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4 * len(variables)))
+        )
+        yield from_3sat(CnfFormula(variables, tuple(clauses)))
+    yield from_3sat(parse_dimacs(UNSAT_15))
+
+
+def test_search_records_its_whole_choice_table():
+    implied = 0
+    for inst in search_record_instances():
+        leaves = []
+        picks, nodes = _search(inst.sigma, inst.phi, leaves)
+        assert (picks, nodes) == _search(inst.sigma, inst.phi)
+        assert all(a < b for a, b in zip(leaves, leaves[1:]))
+        recorded = set(leaves)
+        assert not any(leaf[:k] in recorded for leaf in leaves for k in range(1, len(leaf)))
+        if not leaves and picks is None:
+            continue  # a member with only skipped keys stops the search at once
+        implied += picks is None
+        # the leaves begin every full key tuple before the first failing
+        # choice exactly once, and no later one
+        for full in itertools.product(*(range(len(ks)) for ks in inst.sigma)):
+            begun = sum(full[:k] in recorded for k in range(1, len(full) + 1))
+            assert begun == (picks is None or full < picks)
+    assert implied >= 30  # the draw exercises implied instances too
+
+
+def test_search_records_skipped_keys_in_place():
+    # {not_x2} lies inside the clause key {not_x2}, so the search skips it
+    # under both entered nodes of depth 0; only the key {x2} is a node there
+    inst = from_3sat(parse_dimacs("p cnf 2 3\n1 2 0\n-1 2 0\n-2 0\n"))
+    leaves = []
+    assert _search(inst.sigma, inst.phi, leaves) == (None, 4)
+    assert leaves == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 def sequential_instance(n: int) -> ImplicationInstance:
     """X_{n-1} of the sequential family over n attributes against the
     other members: implied, with a choice product of n!/2."""
@@ -450,6 +496,8 @@ def test_parse_dimacs_errors(text, message):
         ("p cnf 2 1\n1 0\n3 0\n", 3),
         ("p cnf 2 1\n1 2\n", 2),
         ("p cnf 2 1\n1 -2\nc trailing comment\n", 3),
+        ("p cnf 2 1\n1 2 0\np cnf 3 1\n3 0\n", 3),
+        ("p cnf 5 1\n5 0\np cnf 1 1\n1 0\n", 3),
     ],
 )
 def test_parse_dimacs_errors_name_the_line(text, line):
