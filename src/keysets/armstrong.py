@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import implication
 from .core import AttrSet, KeySet, Relation, ResourceLimit, Schema, attr_sort_key
 
 __all__ = [
@@ -51,32 +52,100 @@ class Hypergraph:
 
 
 def minimal_transversals(h: Hypergraph) -> tuple[AttrSet, ...]:
-    """All minimal hitting sets, built edge by edge (Berge's algorithm).
+    """All minimal hitting sets, by MMCS (Murakami & Uno, "Efficient
+    algorithms for dualizing large-scale hypergraphs", Discrete Applied
+    Mathematics, 2014) on int bitmasks.
 
-    Let ``T`` be the minimal transversals of the edges seen so far, ``hit``
-    its members that meet the next edge ``e`` and ``miss`` the rest. With
-    ``e`` added they are ``hit`` plus every ``t | {v}`` (``t`` in ``miss``,
-    ``v`` in ``e``) that holds no ``u`` in ``hit``. Such a ``u`` meets ``e``
-    in ``v`` alone, since ``t`` misses ``e``, so only those are tested.
-    Grown sets are distinct and hold no other member: no second pass. More
-    than :data:`TRANSVERSAL_CAP` sets for the edges seen so far (n disjoint
-    pairs have 2^n) raise :class:`ResourceLimit`.
+    The walk grows a set ``S`` from the empty set. A node branches on the
+    uncovered edge ``F`` with the fewest candidate vertices: the branch of
+    each candidate ``v`` of ``F`` adds ``v`` to ``S`` and keeps the
+    candidates of ``F`` after ``v`` out of it, so each transversal is
+    reached once, in the branch of its last vertex in ``F``. A vertex of
+    ``S`` owns the edges it alone meets (its critical edges), and ``v`` is
+    added only if every vertex of ``S`` still owns one. So every set the
+    walk reaches is minimal, and it is an answer once no edge is uncovered.
+    Adding or removing ``v`` touches only the edges that meet ``v``. The
+    walk keeps its own stack, so its depth, the size of ``S``, is not held
+    to Python's recursion limit.
+
+    Answer ``TRANSVERSAL_CAP + 1`` (n disjoint pairs have 2^n) and node
+    ``implication.CHOICE_CAP + 1`` raise :class:`ResourceLimit`.
     """
-    partial = [0]
-    for edge in sorted(h.edges, key=attr_sort_key):
-        e = sum(1 << v for v in edge)
-        hit = [u for u in partial if u & e]
-        # per vertex bit of e: each hitting set meeting e in that bit alone, less e
-        rests: dict[int, list[int]] = {1 << v: [] for v in edge}
-        for u in hit:
-            if u & e in rests:
-                rests[u & e].append(u & ~e)
-        miss = [t for t in partial if not t & e]
-        partial = hit + [t | b for t in miss for b, rest in rests.items() if all(r & ~t for r in rest)]
-        if len(partial) > TRANSVERSAL_CAP:
-            raise ResourceLimit("partial transversal family", len(partial), TRANSVERSAL_CAP)
-    sets = (frozenset(v for v in range(t.bit_length()) if t >> v & 1) for t in partial)
-    return tuple(sorted(sets, key=attr_sort_key))
+    edges = sorted(h.edges, key=attr_sort_key)
+    by_bit = {1 << i: sum(1 << v for v in e) for i, e in enumerate(edges)}
+    meets: list[list[int]] = [[] for _ in h.schema.attributes]
+    for i, edge in enumerate(edges):
+        for v in edge:
+            meets[v].append(i)
+    meet_masks = [sum(1 << i for i in ids) for ids in meets]
+    owner = [-1] * len(edges)  # for a critical edge, the one vertex of S that meets it
+    owned = [0] * len(meets)  # critical edges per vertex of S
+    uncov = (1 << len(edges)) - 1
+    cand = (1 << len(meets)) - 1
+    path: list[int] = []  # S, in the order the walk added its vertices
+    found: list[list[int]] = []
+    node_cap = implication.CHOICE_CAP
+    nodes = 0
+    # per open node: [candidates left to branch on, vertex on trial, edges it
+    # covered, (edge, owner) pairs whose owner it took]
+    stack: list[list] = []
+    while True:
+        nodes += 1
+        if nodes > node_cap:
+            raise ResourceLimit("transversal search nodes", nodes, node_cap)
+        if not uncov:
+            found.append(sorted(path))
+            if len(found) > TRANSVERSAL_CAP:
+                raise ResourceLimit("minimal transversal family", len(found), TRANSVERSAL_CAP)
+        else:
+            # an edge with one candidate is as good as any but one with none
+            pick, fewest, rest = 0, len(meets) + 1, uncov
+            while rest and fewest > 1:
+                low = rest & -rest
+                rest ^= low
+                c = by_bit[low] & cand
+                if c.bit_count() < fewest:
+                    pick, fewest = c, c.bit_count()
+            if pick:
+                cand &= ~pick
+                stack.append([pick, -1, 0, ()])
+        while stack:
+            frame = stack[-1]
+            left, v, newly, taken = frame
+            if v >= 0:  # undo the vertex on trial
+                for i, u in taken:
+                    owner[i] = u
+                    owned[u] += 1
+                uncov |= newly
+                path.pop()
+                cand |= 1 << v
+            if not left:
+                stack.pop()
+                continue
+            low = left & -left
+            v = low.bit_length() - 1
+            newly = meet_masks[v] & uncov
+            uncov ^= newly
+            path.append(v)
+            owned[v] = newly.bit_count()
+            taken = []
+            minimal = True
+            for i in meets[v]:
+                if newly >> i & 1:
+                    owner[i] = v
+                elif owner[i] >= 0:
+                    u = owner[i]
+                    owner[i] = -1
+                    owned[u] -= 1
+                    taken.append((i, u))
+                    minimal = minimal and owned[u] > 0
+            frame[:] = left ^ low, v, newly, taken
+            if minimal:
+                break
+        else:
+            break
+    found.sort()
+    return tuple(map(frozenset, found))
 
 
 @dataclass(frozen=True)
@@ -114,19 +183,19 @@ def generate_armstrong(sigma: Sequence[KeySet], schema: Schema) -> Relation:
 
 def _armstrong_chain(aks: Sequence[AttrSet], schema: Schema) -> Relation:
     """The chain relation of :func:`generate_armstrong` for anti-keys
-    already enumerated; ``keysets armstrong`` passes the ones it prints."""
-    counters = [0] * len(schema)
-
-    def fresh(col: int) -> str:
-        value = f"v{schema.name(col)}_{counters[col]}"
-        counters[col] += 1
-        return value
-
-    width = len(schema)
-    rows: list[tuple[str, ...]] = [tuple(fresh(c) for c in range(width))]
+    already enumerated; ``keysets armstrong`` passes the ones it prints.
+    Each row copies the last and draws fresh values only outside its
+    anti-key."""
+    prefixes = [f"v{name}_" for name in schema.attributes]
+    counters = [1] * len(schema)
+    row = [f"{p}0" for p in prefixes]
+    rows = [tuple(row)]
+    everything = schema.all_attrs()
     for anti in aks:
-        prev = rows[-1]
-        rows.append(tuple(prev[c] if c in anti else fresh(c) for c in range(width)))
+        for c in everything - anti:
+            row[c] = f"{prefixes[c]}{counters[c]}"
+            counters[c] += 1
+        rows.append(tuple(row))
     return Relation.from_values(schema, rows)
 
 

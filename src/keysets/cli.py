@@ -13,8 +13,9 @@ it does not, 2 on usage or input errors, 3 when a resource limit was hit
 * the nodes the ``implies`` search visits when the product of its kept
   keys' counts exceeds the same number,
   :data:`~keysets.implication.CHOICE_CAP`;
-* the minimal transversals of the edges seen so far that ``antikeys``
-  and ``armstrong`` grow, :data:`~keysets.armstrong.TRANSVERSAL_CAP` sets;
+* the minimal transversals that ``antikeys`` and ``armstrong`` enumerate,
+  :data:`~keysets.armstrong.TRANSVERSAL_CAP` sets, and the nodes of
+  their walk, :data:`~keysets.implication.CHOICE_CAP`;
 * the block rows of one refinement state in ``validate --algo linear``
   and ``bench``, :data:`~keysets.validation.BLOCK_ROW_CAP` row copies.
 """

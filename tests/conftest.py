@@ -36,7 +36,7 @@ from keysets import (
     format_schema,
     satisfies,
 )
-from keysets.core import _IDENT, _Parser
+from keysets.core import _IDENT, _Parser, attr_sort_key
 from keysets.inference import (
     RULE_COMPOSITION,
     RULE_NARY,
@@ -216,12 +216,35 @@ def pair_c_instance(pairs: int) -> ImplicationInstance:
 
 def random_keys_family() -> tuple[Schema, tuple[KeySet, ...]]:
     """30 random 4-attribute keys over 24 attributes, drawn with
-    ``random.Random(5)``: 4,630 minimal transversals, but a Berge loop
-    that grows each edge's family before pruning it reaches 5,215 sets,
-    past ``TRANSVERSAL_CAP``."""
+    ``random.Random(5)``: 4,630 minimal transversals, just under
+    ``TRANSVERSAL_CAP``, which counts the answer's sets."""
     rng = random.Random(5)
     schema = Schema(tuple(f"a{i}" for i in range(24)))
     return schema, tuple(KeySet.of(set(rng.sample(range(24), 4))) for _ in range(30))
+
+
+def berge_transversals(edges) -> tuple[frozenset[int], ...]:
+    """Minimal transversals edge by edge (Berge's algorithm), uncapped.
+
+    Let ``T`` be the minimal transversals of the edges seen so far, ``hit``
+    its members that meet the next edge ``e`` and ``miss`` the rest. With
+    ``e`` added they are ``hit`` plus every ``t | {v}`` (``t`` in ``miss``,
+    ``v`` in ``e``) that holds no ``u`` in ``hit``. Such a ``u`` meets ``e``
+    in ``v`` alone, since ``t`` misses ``e``, so only those are tested.
+    Grown sets are distinct and hold no other member: no second pass."""
+    partial = [0]
+    for edge in sorted(edges, key=attr_sort_key):
+        e = sum(1 << v for v in edge)
+        hit = [u for u in partial if u & e]
+        # per vertex bit of e: each hitting set meeting e in that bit alone, less e
+        rests: dict[int, list[int]] = {1 << v: [] for v in edge}
+        for u in hit:
+            if u & e in rests:
+                rests[u & e].append(u & ~e)
+        miss = [t for t in partial if not t & e]
+        partial = hit + [t | b for t in miss for b, rest in rests.items() if all(r & ~t for r in rest)]
+    sets = (frozenset(v for v in range(t.bit_length()) if t >> v & 1) for t in partial)
+    return tuple(sorted(sets, key=attr_sort_key))
 
 
 def random_keyset(rng: random.Random, width: int, max_keys: int = 3, max_key_size: int = 3) -> KeySet:

@@ -8,10 +8,11 @@ key sets.
 
 import itertools
 import random
+import time
 
 import pytest
 
-from conftest import random_family, random_keys_family
+from conftest import berge_transversals, random_family, random_keys_family
 from keysets import (
     AntiKeyReport,
     Hypergraph,
@@ -28,7 +29,7 @@ from keysets import (
     satisfies,
     size_bounds,
 )
-from keysets import armstrong
+from keysets import armstrong, implication
 from keysets.core import attr_sort_key
 
 
@@ -85,6 +86,26 @@ def test_transversals_match_oracle_on_random_hypergraphs():
         )
         h = Hypergraph(schema, edges)
         assert minimal_transversals(h) == transversals_oracle(edges, width)
+
+
+def test_transversals_match_berge_on_wide_random_hypergraphs():
+    # vertices up to 200, so the masks span several machine words; edges
+    # come from a small pool so they overlap, and the product of their
+    # sizes, which bounds the answer, stays under the cap
+    rng = random.Random(20240823)
+    for _ in range(300):
+        width = rng.randint(2, 200)
+        pool = rng.sample(range(width), rng.randint(1, min(width, 16)))
+        edges: set[frozenset[int]] = set()
+        bound = 1
+        for _ in range(rng.randint(1, 14)):
+            edge = frozenset(rng.sample(pool, rng.randint(1, min(len(pool), 5))))
+            if bound * len(edge) > armstrong.TRANSVERSAL_CAP:
+                break
+            edges.add(edge)
+            bound *= len(edge)
+        h = Hypergraph(Schema(tuple(f"c{i}" for i in range(width))), frozenset(edges))
+        assert minimal_transversals(h) == berge_transversals(edges)
 
 
 def test_hypergraph_validation(ward_schema):
@@ -204,8 +225,8 @@ def disjoint_pairs(n: int) -> tuple[Schema, tuple[KeySet, ...]]:
 
 
 def test_transversal_cap(monkeypatch):
-    # the grown family doubles with each disjoint pair: 32 sets after five
-    # pairs, 64 after six
+    # n disjoint pairs have 2^n minimal transversals: 32 fit a cap of 32,
+    # and six pairs raise on the 33rd
     monkeypatch.setattr(armstrong, "TRANSVERSAL_CAP", 32)
     schema, sigma = disjoint_pairs(5)
     assert len(anti_keys(sigma, schema).transversals) == 32
@@ -221,16 +242,46 @@ def test_transversal_cap(monkeypatch):
     for call in calls:
         with pytest.raises(ResourceLimit) as err:
             call()
-        assert (err.value.limit, err.value.size, err.value.cap) == ("partial transversal family", 64, 32)
+        assert (err.value.limit, err.value.size, err.value.cap) == ("minimal transversal family", 33, 32)
+
+
+def test_transversal_cap_counts_the_answer(monkeypatch):
+    # Berge's loop takes {c0,c1,c2} first and holds three sets after it;
+    # the answer has two
+    monkeypatch.setattr(armstrong, "TRANSVERSAL_CAP", 2)
+    schema = Schema.of("c0", "c1", "c2")
+    report = anti_keys((KeySet.of({0}, {1}, {2}), KeySet.of({0}, {2})), schema)
+    assert report.transversals == (frozenset({0}), frozenset({2}))
+
+
+def test_transversal_search_node_cap(monkeypatch):
+    # five disjoint pairs: the walk's nodes are 1 + 2 + 4 + ... + 32
+    schema, sigma = disjoint_pairs(5)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 63)
+    assert len(anti_keys(sigma, schema).transversals) == 32
+    monkeypatch.setattr(implication, "CHOICE_CAP", 62)
+    with pytest.raises(ResourceLimit) as err:
+        anti_keys(sigma, schema)
+    assert (err.value.limit, err.value.size, err.value.cap) == ("transversal search nodes", 63, 62)
+
+
+def test_wide_schema_hits_the_cap_not_the_recursion_limit():
+    # answers of 1,000 vertices each: a recursive walk would need depth 1,000
+    schema, sigma = disjoint_pairs(1000)
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimit) as err:
+        anti_keys(sigma, schema)
+    assert time.perf_counter() - started < 2
+    assert err.value.size == armstrong.TRANSVERSAL_CAP + 1
 
 
 def test_random_keys_family_fits_the_cap():
-    # the cap counts minimal families only; on this one the largest is the answer
     schema, sigma = random_keys_family()
     report = anti_keys(sigma, schema)
     assert len(report.transversals) == 4630 < armstrong.TRANSVERSAL_CAP
     assert report.transversals == tuple(sorted(report.transversals, key=attr_sort_key))
     unions = [ks.attributes for ks in sigma]
+    assert report.transversals == berge_transversals(unions)
     for t in report.transversals[::97]:
         assert all(t & u for u in unions)
         assert all(any(not (t - {v}) & u for u in unions) for v in t)

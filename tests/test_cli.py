@@ -432,12 +432,12 @@ def test_transversal_cap_exits_3(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: partial transversal family has 8192 elements, cap is {TRANSVERSAL_CAP}\n"
+            f"error: minimal transversal family has 5001 elements, cap is {TRANSVERSAL_CAP}\n"
         )
 
 
 def test_random_keys_family_antikeys_exits_0(tmp_path, capsys):
-    # its 4,630 anti-keys fit the cap, which counts minimal transversals only
+    # its 4,630 anti-keys fit the cap, which counts the answer's sets
     schema, sigma = random_keys_family()
     path = tmp_path / "keys.txt"
     path.write_text("".join(format_keyset(ks, schema) + "\n" for ks in sigma), encoding="utf-8")
