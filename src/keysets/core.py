@@ -175,9 +175,9 @@ class Relation:
     distinct strings get dense codes ``0, 1, ...`` in order of first
     appearance, listed in ``dictionaries[column]``, and a missing value is
     ``-1``. ``row_ids`` (read-only) makes duplicate rows distinct. Build
-    relations with :meth:`from_values`, the one encoder; copies and
-    unpickled relations go through the constructor, which sets both
-    arrays read-only.
+    relations with :meth:`from_values` or ``load_csv``, which share one
+    encoder; copies and unpickled relations go through the constructor,
+    which sets both arrays read-only.
     """
 
     schema: Schema
@@ -207,15 +207,37 @@ class Relation:
             raise ValueError(f"row {row_id} has {len(row)} cells, schema has {width}")
         if len(set(ids)) < len(ids):
             raise ValueError(f"duplicate row id {next(i for i, c in Counter(ids).items() if c > 1)}")
-        columns, dictionaries = [], []
-        for column in zip(*rows) if rows else [()] * width:
-            distinct = dict.fromkeys(column)
-            distinct.pop(None, None)
-            dictionaries.append(tuple(distinct))
-            code = dict(zip(distinct, range(len(distinct)))) | {None: -1}
-            columns.append(list(map(code.__getitem__, column)))
-        codes = np.array(columns, dtype=np.int32).T.copy()
-        return cls(schema, codes, tuple(dictionaries), np.array(ids, dtype=np.int64))
+        return cls._encode(schema, zip(*rows) if rows else [()] * width, np.array(ids, dtype=np.int64))
+
+    @classmethod
+    def _encode(
+        cls,
+        schema: Schema,
+        columns: Iterable[Sequence[str | None]],
+        row_ids: np.ndarray,
+        null_tokens: frozenset[str] | None = None,
+    ) -> "Relation":
+        """The one encoder, shared by :meth:`from_values` and ``load_csv``.
+
+        Takes one column at a time, each with a cell per row id. The null
+        test runs once per distinct cell: with ``null_tokens``, a cell is
+        missing when its trimmed text is one of them; without, when it is
+        ``None``.
+        """
+        flat, dictionaries = [], []
+        for column in columns:
+            code = dict.fromkeys(column, -1)
+            if null_tokens is None:
+                kept = [cell for cell in code if cell is not None]
+            else:
+                kept = [cell for cell in code if cell.strip() not in null_tokens]
+            code.update(zip(kept, range(len(kept))))
+            flat += map(code.__getitem__, column)
+            dictionaries.append(tuple(kept))
+        # one conversion for all columns; per-column array writes cost more
+        # than the encoding itself on a two-row witness
+        codes = np.fromiter(flat, np.int32, len(flat)).reshape(len(dictionaries), len(row_ids)).T.copy()
+        return cls(schema, codes, tuple(dictionaries), row_ids)
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:

@@ -2,21 +2,31 @@
 
 Cells are kept verbatim as strings; nothing is type-coerced. A cell whose
 whitespace-trimmed form equals one of the configured null tokens becomes a
-missing value (``None``). :func:`load_csv` reads the file once and hands
-the cells to :meth:`Relation.from_values`, which encodes them into the
-relation's code matrix, its only storage. Exporting decodes one column at
-a time and writes missing values as the first configured token, so a
-load/export/load round trip is cell-identical.
+missing value (``None``). :func:`load_csv` reads the text once (a path as
+UTF-8 without its byte-order mark, a stream as given) and cuts it into
+cells in one pass: text with no quote, carriage return, NUL, blank line or
+over-long line is cut by ``str.split``, which reads it exactly as
+``csv.reader`` does, and any other text by ``csv.reader``. A line feed, a
+CR-LF pair and a lone carriage return each end a record, in a path or a
+stream. Each column's cells then go to the encoder
+:meth:`Relation.from_values` also uses, which runs the null test once per
+distinct cell and writes the relation's code matrix, its only storage.
+Exporting decodes one column at a time and writes missing values as the
+first configured token, so a load/export/load round trip is
+cell-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
+
+import numpy as np
 
 from .core import Relation, Schema
 
@@ -33,8 +43,8 @@ __all__ = [
 
 
 class IngestError(ValueError):
-    """Malformed CSV input (empty file, ragged rows, text that is not
-    UTF-8 or that the csv module rejects, bad config)."""
+    """Malformed CSV input (empty file, blank first record, ragged rows,
+    text that is not UTF-8 or that the csv module rejects, bad config)."""
 
 
 @dataclass(frozen=True)
@@ -47,9 +57,14 @@ class IngestConfig:
         object.__setattr__(self, "null_tokens", tuple(self.null_tokens))
         if len(self.delimiter) != 1:
             raise IngestError("delimiter must be a single character")
+        if self.delimiter in '"\n\r':
+            raise IngestError(f"delimiter {self.delimiter!r} is a quote or line break")
         for tok in self.null_tokens:
             if self.delimiter in tok:
                 raise IngestError(f"null token {tok!r} contains the delimiter")
+            if tok != tok.strip():
+                # cells are trimmed before the test, so such a token never matches
+                raise IngestError(f"null token {tok!r} has surrounding whitespace")
 
 
 @dataclass(frozen=True)
@@ -72,50 +87,89 @@ def schema_from_header(header: Iterable[str]) -> Schema:
     return Schema(tuple(names))
 
 
-def _records(source: str | Path | io.TextIOBase, config: IngestConfig) -> Iterator[list[str]]:
-    """The CSV records of a stream, or of a path opened and closed here;
-    text that is not UTF-8, or that the csv module rejects, raises
-    :class:`IngestError`. A path is read as UTF-8 with any leading
-    byte-order mark dropped; a stream is read as given."""
-    is_path = isinstance(source, (str, Path))
-    with open(source, newline="", encoding="utf-8-sig") if is_path else nullcontext(source) as fh:
-        try:
-            yield from csv.reader(fh, delimiter=config.delimiter)
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise IngestError(f"malformed csv: {exc}") from None
+def _open(source: str | Path | io.TextIOBase):
+    """A path opened as UTF-8 with any leading byte-order mark dropped,
+    or a stream as given."""
+    if isinstance(source, (str, Path)):
+        return open(source, newline="", encoding="utf-8-sig")
+    return nullcontext(source)
 
 
 def _schema(first: list[str] | None, config: IngestConfig) -> Schema:
     if first is None:
         raise IngestError("empty csv input")
+    if not first:
+        raise IngestError("the first record is blank")
     return schema_from_header(first) if config.has_header else Schema(tuple(map(str, range(len(first)))))
+
+
+def _split_cells(text: str, delimiter: str) -> tuple[list[str], np.ndarray] | None:
+    """Every cell of ``text`` in one flat list, and each record's cell count,
+    cut by ``str.split``; None unless that cuts it exactly as ``csv.reader``
+    would: no quote, carriage return or NUL, no blank line and no line
+    longer than ``csv.field_size_limit()``."""
+    if '"' in text or "\r" in text or "\0" in text or "\n\n" in text or text.startswith("\n"):
+        return None
+    lines = text.split("\n")
+    trailing = not lines[-1]  # the text is empty or ends with a line break
+    if trailing:
+        lines.pop()
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    counts = np.fromiter(map(str.count, lines, repeat(delimiter)), np.int64, len(lines))
+    del lines
+    cells = text.replace("\n", delimiter).split(delimiter)
+    if trailing:
+        cells.pop()
+    return cells, counts + 1
+
+
+def _reader_cells(text: str, delimiter: str) -> tuple[list[str], np.ndarray]:
+    """:func:`_split_cells`' result for any text, read by ``csv.reader``."""
+    try:
+        records = list(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter))
+    except csv.Error as exc:
+        raise IngestError(f"malformed csv: {exc}") from None
+    return list(chain.from_iterable(records)), np.fromiter(map(len, records), np.int64, len(records))
 
 
 def read_schema(source: str | Path | io.TextIOBase, config: IngestConfig = IngestConfig()) -> Schema:
     """The schema :func:`load_csv` gives a CSV, read from its first record only."""
-    with closing(_records(source, config)) as records:
-        return _schema(next(records, None), config)
+    with _open(source) as fh:
+        # a stream's lines cut again at every line break, as load_csv's text is
+        lines = chain.from_iterable(io.StringIO(line, newline="") for line in fh)
+        try:
+            first = next(csv.reader(lines, delimiter=config.delimiter), None)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise IngestError(f"malformed csv: {exc}") from None
+    return _schema(first, config)
 
 
 def load_csv(source: str | Path | io.TextIOBase, config: IngestConfig = IngestConfig()) -> Relation:
-    """Load a CSV file into a :class:`Relation`, encoded in one pass.
+    """Load a CSV file into a :class:`Relation`, reading its text once.
 
     Row ids are assigned in file order starting at 0. Raises
-    :class:`IngestError` on an empty file or on ragged rows.
+    :class:`IngestError` on an empty file, a blank first record, ragged
+    rows, and text that is not UTF-8 or that the csv module rejects.
     """
-    records = list(_records(source, config))
-    schema = _schema(records[0] if records else None, config)
-    data = records[1:] if config.has_header else records
+    try:
+        with _open(source) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"malformed csv: {exc}") from None
+    cells, lengths = _split_cells(text, config.delimiter) or _reader_cells(text, config.delimiter)
+    del text
+    schema = _schema(cells[: lengths[0]] if len(lengths) else None, config)
     width = len(schema)
-    if set(map(len, data)) - {width}:
-        i, record = next((i, r) for i, r in enumerate(data) if len(r) != width)
-        raise IngestError(f"row {i} has {len(record)} cells, expected {width}")
-    # the null test runs once per distinct cell text
-    nulls = set(config.null_tokens)
-    missing = {cell for cell in set().union(*data) if cell.strip() in nulls}
-    if missing:
-        data = [[None if cell in missing else cell for cell in record] for record in data]
-    return Relation.from_values(schema, data)
+    header = int(config.has_header)
+    ragged = np.flatnonzero(lengths != width)
+    if ragged.size:
+        i = int(ragged[0])
+        raise IngestError(f"row {i - header} has {lengths[i]} cells, expected {width}")
+    start = width * header
+    columns = (cells[start + j :: width] for j in range(width))
+    rows = np.arange(len(lengths) - header, dtype=np.int64)
+    return Relation._encode(schema, columns, rows, frozenset(config.null_tokens))
 
 
 def write_csv(
