@@ -117,7 +117,7 @@ def _split_cells(text: str, delimiter: str) -> tuple[list[str], np.ndarray] | No
     if max(map(len, lines), default=0) > csv.field_size_limit():
         return None
     counts = np.fromiter(map(str.count, lines, repeat(delimiter)), np.int64, len(lines))
-    del lines
+    del lines  # the line strings go before the cell strings come
     cells = text.replace("\n", delimiter).split(delimiter)
     if trailing:
         cells.pop()
