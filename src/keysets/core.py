@@ -246,6 +246,11 @@ class Relation:
         return tuple(map(Row, self.row_ids.tolist(), zip(*columns)))
 
     @cached_property
+    def null_counts(self) -> tuple[int, ...]:
+        """Missing cells per column, counted on first use, not at ingest."""
+        return tuple(np.count_nonzero(self.codes < 0, axis=0).tolist())
+
+    @cached_property
     def by_id(self) -> dict[int, Row]:
         return {row.row_id: row for row in self.rows}
 

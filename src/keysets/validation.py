@@ -18,6 +18,18 @@ Two independent routes compute which rows take part in a violation:
   A state holding more than :data:`BLOCK_ROW_CAP` row copies raises
   :class:`~keysets.core.ResourceLimit` before it is built.
 
+  The order of the keys sets the work, not the answer. Each incomplete
+  row is copied into every class of its block, so ``violating_blocks``
+  and ``satisfies`` take the keys with the fewest missing cells in their
+  columns first (:attr:`Relation.null_counts`, ties in canonical order),
+  and a total relation refines in canonical order. The answer does not
+  depend on the order: a maximal set of rows that no key separates stays
+  inside one block whatever the order, since its total members agree on
+  each key and its incomplete members join every class, and every block
+  is such a set or inside one. So the final state's maximal blocks, and
+  whether it is empty, are the same in every order. :func:`block_trace`
+  reports its per-key states in canonical order.
+
   The final state then keeps only its maximal blocks. When no row is in
   two blocks every block is maximal and the filter returns at once.
   Otherwise each block is compared only with the larger blocks that hold
@@ -35,11 +47,11 @@ The union of the returned blocks always equals the naive violating set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import KeySet, Relation, ResourceLimit, attr_sort_key
+from .core import AttrSet, KeySet, Relation, ResourceLimit, attr_sort_key
 
 __all__ = [
     "BLOCK_ROW_CAP",
@@ -214,16 +226,24 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
     return blk, pos, overlap
 
 
-def _refine(relation: Relation, ks: KeySet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the block state after each key of ``ks``, in canonical order."""
+def _refine(relation: Relation, keys: Iterable[AttrSet]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the block state after each of ``keys``, in the order given."""
     codes = relation.codes
     blk = np.zeros(len(codes) if len(codes) > 1 else 0, dtype=np.intp)
     pos = np.arange(len(blk))
     overlap = False
-    for key in ks.sorted_keys:
+    for key in keys:
         if len(pos):
             blk, pos, overlap = _split(codes, blk, pos, overlap, sorted(key))
         yield blk, pos
+
+
+def _fewest_missing_first(relation: Relation, ks: KeySet) -> list[AttrSet]:
+    """The keys of ``ks`` by the missing cells in their columns, fewest
+    first; the stable sort keeps canonical order among ties, so a total
+    relation gets ``ks.sorted_keys``."""
+    nulls = relation.null_counts
+    return sorted(ks.sorted_keys, key=lambda key: sum(nulls[a] for a in key))
 
 
 def _blockset(relation: Relation, blk: np.ndarray, pos: np.ndarray) -> BlockSet:
@@ -237,10 +257,12 @@ def block_trace(relation: Relation, ks: KeySet) -> list[BlockSet]:
     """Raw block state after each key, in canonical key order.
 
     Entry ``i`` is the block set after refining with the first ``i + 1``
-    keys; the last entry is the final (unfiltered) state.
+    keys of ``ks.sorted_keys``; the last entry is the final (unfiltered)
+    state. Its maximal blocks are those of :func:`violating_blocks`, which
+    refines in another order.
     """
     _check_fits(relation, ks)
-    return [_blockset(relation, blk, pos) for blk, pos in _refine(relation, ks)]
+    return [_blockset(relation, blk, pos) for blk, pos in _refine(relation, ks.sorted_keys)]
 
 
 def _maximal_only(blk: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,19 +320,25 @@ def _maximal_only(blk: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray,
 def violating_blocks(relation: Relation, ks: KeySet) -> BlockSet:
     """Violating rows grouped into blocks, reporting maximal blocks only.
 
-    The relation satisfies ``ks`` iff the result is empty. Use
-    :func:`block_trace` for the raw per-key states.
+    The relation satisfies ``ks`` iff the result is empty. Refines the
+    keys with the fewest missing cells first; the maximal blocks are the
+    same in every order (see the module docstring). Use
+    :func:`block_trace` for the raw per-key states, in canonical order.
     """
     _check_fits(relation, ks)
-    for state in _refine(relation, ks):
+    for state in _refine(relation, _fewest_missing_first(relation, ks)):
         pass
     return _blockset(relation, *_maximal_only(*state, len(relation)))
 
 
 def satisfies(relation: Relation, ks: KeySet) -> bool:
-    """True iff every pair of distinct rows is separated by some key."""
+    """True iff every pair of distinct rows is separated by some key.
+
+    Refines in the order :func:`violating_blocks` uses and stops at the
+    first empty state; whether one is reached does not depend on the order.
+    """
     _check_fits(relation, ks)
-    return any(not len(pos) for _, pos in _refine(relation, ks))
+    return any(not len(pos) for _, pos in _refine(relation, _fewest_missing_first(relation, ks)))
 
 
 def violating_tuples_naive(relation: Relation, ks: KeySet) -> frozenset[int]:
