@@ -200,25 +200,33 @@ def _armstrong_chain(aks: Sequence[AttrSet], schema: Schema) -> Relation:
 
 
 def is_armstrong_unary(relation: Relation, sigma: Sequence[KeySet]) -> bool:
-    """Check the two Armstrong conditions against ``sigma``:
+    """True iff ``relation`` satisfies exactly the unary key sets that
+    ``sigma`` implies, read off the relation's difference sets.
 
-    every anti-key is the exact agreement set of some row pair, and no row
-    pair agrees on all attributes of any member's union. A pair scan on
-    the relation's codes, polynomial in its size, plus the anti-key
-    enumeration, which raises :class:`ResourceLimit` past
-    :data:`TRANSVERSAL_CAP`.
+    The difference set of a row pair is the attributes on which both rows
+    are total and differ. ``{{a} : a in Y}`` holds iff ``Y`` meets every
+    difference set, and ``sigma`` implies it iff ``Y`` contains a member's
+    attribute union. So, by transversal duality, the relation is Armstrong
+    iff its inclusion-minimal difference sets are the minimal transversals
+    of the unions. That holds iff every difference set meets every union
+    and every minimal transversal is a difference set. Fewer than two rows
+    satisfy every unary key set, as one difference set of the whole schema
+    would. A pair scan on the relation's codes, polynomial in its size,
+    plus the transversal enumeration, which raises :class:`ResourceLimit`
+    past :data:`TRANSVERSAL_CAP`.
     """
-    report = anti_keys(sigma, relation.schema)
-    unions = {ks.attributes for ks in sigma}
+    transversals = anti_keys(sigma, relation.schema).transversals
     codes = relation.codes
     patterns: set[bytes] = set()
     for i in range(len(codes) - 1):
-        # row i's distinct agreements with later rows: equal codes, both present
-        packed = np.packbits((codes[i + 1 :] == codes[i]) & (codes[i] >= 0), axis=1)
+        # row i's distinct differences from later rows: both present, codes differ
+        later = codes[i + 1 :]
+        packed = np.packbits((later != codes[i]) & (later >= 0) & (codes[i] >= 0), axis=1, bitorder="little")
         patterns.update(np.unique(packed.view(f"V{packed.shape[1]}")).tolist())
-    agreements = {frozenset(np.flatnonzero(np.unpackbits(np.frombuffer(p, np.uint8))).tolist()) for p in patterns}
-    safe = not any(u <= agree for u in unions for agree in agreements)
-    return safe and all(anti in agreements for anti in report.anti_keys)
+    masks = {int.from_bytes(p, "little") for p in patterns} if len(codes) > 1 else {(1 << codes.shape[1]) - 1}
+    unions = {sum(1 << a for a in ks.attributes) for ks in sigma}
+    hitting = all(m & u for m in masks for u in unions)
+    return hitting and all(sum(1 << a for a in t) in masks for t in transversals)
 
 
 def size_bounds(num_anti_keys: int) -> tuple[int, int]:

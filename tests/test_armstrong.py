@@ -16,6 +16,7 @@ from conftest import berge_transversals, random_family, random_keys_family
 from keysets import (
     AntiKeyReport,
     Hypergraph,
+    ImplicationInstance,
     KeySet,
     Relation,
     ResourceLimit,
@@ -23,6 +24,7 @@ from keysets import (
     Schema,
     anti_keys,
     generate_armstrong,
+    implies,
     implies_unary,
     is_armstrong_unary,
     minimal_transversals,
@@ -217,6 +219,64 @@ def test_is_armstrong_detects_union_agreement(ward_schema, x1, x2):
     doubled = Relation.from_values(rel.schema, [r.values for r in rows], row_ids=[r.row_id for r in rows])
     assert not is_armstrong_unary(doubled, (x1, x2))
 
+
+def test_is_armstrong_reads_missing_values_as_no_difference():
+    # a missing value separates nothing, so the pair violates {{a}}, which
+    # sigma implies: not Armstrong, though the rows never agree on a
+    rel = Relation.from_values(Schema.of("a", "b"), [(None, "x"), ("1", "x")])
+    sigma = (KeySet.of({0}),)
+    assert not satisfies(rel, sigma[0])
+    assert not is_armstrong_unary(rel, sigma)
+    # a third row makes {a} a difference set, and the pair above still
+    # violates {{a}}
+    third = Relation.from_values(rel.schema, [(None, "x"), ("1", "x"), ("2", "y")])
+    assert not is_armstrong_unary(third, sigma)
+    # with the pair separated on a the two rows are Armstrong for {{a}}
+    assert is_armstrong_unary(Relation.from_values(rel.schema, [("0", None), ("1", "x")]), sigma)
+
+
+def test_is_armstrong_below_two_rows():
+    # no pair: every unary key set holds, so only a family implying them all
+    # has an Armstrong relation of one row
+    schema = Schema.of("a", "b")
+    one = Relation.from_values(schema, [("0", None)])
+    assert is_armstrong_unary(one, (KeySet.of({0}), KeySet.of({1})))
+    assert not is_armstrong_unary(one, (KeySet.of({0}),))
+    assert not is_armstrong_unary(Relation.from_values(schema, []), (KeySet.of({0, 1}),))
+
+
+def _blank(rng: random.Random, rel: Relation, rate: float) -> Relation:
+    rows = [tuple(None if rng.random() < rate else v for v in r.values) for r in rel.rows]
+    return Relation.from_values(rel.schema, rows)
+
+
+def test_is_armstrong_matches_the_definition_with_nulls():
+    """is_armstrong_unary(rel, sigma) iff, for every non-empty Y, rel
+    satisfies {{a} : a in Y} exactly when sigma implies it; on generated
+    Armstrong relations with cells blanked and on random relations with
+    missing values."""
+    rng = random.Random(20261019)
+    outcomes = []
+    for case in range(400):
+        width = rng.randint(1, 4)
+        schema = Schema(tuple(f"c{i}" for i in range(width)))
+        sigma = random_family(rng, width)
+        if case % 2:
+            rel = _blank(rng, generate_armstrong(sigma, schema), rng.choice((0.0, 0.1, 0.25)))
+        else:
+            rows = [
+                tuple(None if rng.random() < 0.25 else str(rng.randrange(3)) for _ in range(width))
+                for _ in range(rng.randint(0, 6))
+            ]
+            rel = Relation.from_values(schema, rows)
+        expected = all(
+            satisfies(rel, phi) == implies(ImplicationInstance(schema, sigma, phi)).implied
+            for size in range(1, width + 1)
+            for phi in (KeySet.of(*({a} for a in y)) for y in itertools.combinations(range(width), size))
+        )
+        assert is_armstrong_unary(rel, sigma) == expected, (rel.rows, sigma)
+        outcomes.append(expected)
+    assert 50 < sum(outcomes) < 350
 
 def disjoint_pairs(n: int) -> tuple[Schema, tuple[KeySet, ...]]:
     """n members {{c2i},{c2i+1}}: 2^n minimal transversals of their unions."""
