@@ -12,7 +12,8 @@ stream. Each column's cells then go to the encoder
 :meth:`Relation.from_values` also uses, which runs the null test once per
 distinct cell and writes the relation's code matrix, its only storage.
 Exporting decodes one column at a time and writes missing values as the
-first configured token, so a load/export/load round trip is
+first configured token. It refuses a value whose trimmed text is a null
+token, which would read back as missing, so an export/load round trip is
 cell-identical.
 """
 
@@ -177,9 +178,18 @@ def write_csv(
     target: str | Path | io.TextIOBase,
     config: IngestConfig = IngestConfig(),
 ) -> None:
-    """Export a relation; missing values become ``config.null_tokens[0]``."""
-    if not config.null_tokens and (relation.codes < 0).any():
+    """Export a relation; missing values become ``config.null_tokens[0]``.
+
+    Raises :class:`IngestError`, before writing anything, on a value that
+    would read back as missing, and on missing values with no null token.
+    """
+    if not config.null_tokens and any(relation.null_counts):
         raise IngestError("relation has missing values but no null token is configured")
+    nulls = frozenset(config.null_tokens)
+    for name, values in zip(relation.schema.attributes, relation.dictionaries):
+        value = next((v for v in values if v.strip() in nulls), None)
+        if value is not None:
+            raise IngestError(f"column {name!r} holds the value {value!r}, which would read back as missing")
     null_out = config.null_tokens[0] if config.null_tokens else ""
     # decoded one column at a time; code -1 picks the trailing null token
     columns = [map((*d, null_out).__getitem__, c) for d, c in zip(relation.dictionaries, relation.codes.T.tolist())]
@@ -192,5 +202,4 @@ def write_csv(
 
 
 def dataset_stats(relation: Relation) -> DatasetStats:
-    nulls = int((relation.codes < 0).sum())
-    return DatasetStats(rows=len(relation), cols=len(relation.schema), nulls=nulls)
+    return DatasetStats(rows=len(relation), cols=len(relation.schema), nulls=sum(relation.null_counts))

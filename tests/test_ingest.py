@@ -58,7 +58,10 @@ def test_load_ward_csv(ward_schema):
 
 
 def test_dataset_stats():
-    assert dataset_stats(load_text(WARD_CSV)) == DatasetStats(rows=4, cols=5, nulls=4)
+    rel = load_text(WARD_CSV)
+    assert "null_counts" not in vars(rel)  # counted on first use, not at ingest
+    assert dataset_stats(rel) == DatasetStats(rows=4, cols=5, nulls=4)
+    assert rel.null_counts == (1, 1, 2, 0, 0)
 
 
 def test_load_from_path(tmp_path, ward_schema):
@@ -118,6 +121,24 @@ def test_write_with_no_null_tokens():
     holed = Relation.from_values(Schema.of("a", "b"), [("1", None)])
     with pytest.raises(IngestError, match="no null token"):
         write_csv(holed, io.StringIO(), IngestConfig(null_tokens=()))
+
+
+def test_write_refuses_a_value_that_reads_back_as_missing():
+    rel = Relation.from_values(Schema.of("a", "b"), [("?", "x"), (None, "y")])
+    buf = io.StringIO()
+    with pytest.raises(IngestError, match=r"column 'a' holds the value '\?'"):
+        write_csv(rel, buf)
+    assert buf.getvalue() == ""  # refused before the header is written
+    # trimmed first, as load_csv trims before its null test
+    padded = Relation.from_values(Schema.of("a", "b"), [("1", " NULL ")])
+    with pytest.raises(IngestError, match="column 'b' holds the value ' NULL '"):
+        write_csv(padded, io.StringIO())
+    # with other tokens the value is plain text, and the round trip holds
+    config = IngestConfig(null_tokens=("-",))
+    write_csv(rel, buf, config)
+    assert buf.getvalue() == "a,b\n?,x\n-,y\n"
+    buf.seek(0)
+    assert load_csv(buf, config).rows == rel.rows
 
 
 def test_null_tokens_trimmed_before_matching():
