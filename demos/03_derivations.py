@@ -8,7 +8,9 @@ check_derivation verifies it step by step. simulate_nary shows that the
 n-ary form of Composition is only a convenience: binary steps suffice.
 derive_keyset reads its proof off the implication search, so a proof for
 an unsatisfiable 10-variable formula stays a few kilobytes long, while
-the key-choice product behind it has 2**10 tuples.
+the key-choice product behind it has 2**10 tuples. Replaying that proof's
+n-ary step in binary steps still builds a key set close to the product's
+size, since the replay's first pass forms the unions of the key tuples.
 
 Run: python3 demos/03_derivations.py
 """
@@ -87,6 +89,14 @@ def main():
           f"checks out: {check_derivation(parse_derivation(text)[0])}")
     # one entry per key tuple would be 2**10 entries, with refinements megabytes
     assert entries < 2**10 // 4 and len(text) < 10**6, "the proof grew back towards the product"
+
+    # the same n-ary step, replayed with binary Compositions only
+    step = proof.steps[0]
+    family = tuple(inst.sigma[i] for _, i in step.refs)
+    replay = simulate_nary(family, step.params.as_mapping())
+    widest = max(len(s.conclusion.keys) for s in replay.steps)
+    print(f"  its n-ary step in binary steps: {len(replay.steps)} steps, widest key set {widest} keys, "
+          f"checks out: {check_derivation(replay)}")
 
 
 if __name__ == "__main__":

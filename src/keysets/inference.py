@@ -12,13 +12,15 @@ Composition generalizes to n premises (some component key must sit inside
 each chosen set). A choice table may choose once for a tuple of keys from
 the first k premises only: a set inside that tuple's union lies inside
 the union of every full tuple it begins. :func:`simulate_nary` replays
-any n-ary application as a derivation using only binary Composition steps
-plus at most one final Upward closure, and :func:`derive_keyset` builds,
-for any implied key set, a derivation of the shape one n-ary Composition,
-then Refinements, then at most one Upward closure. Its choice table is
-the implication search's own record, one entry per key it skips and per
-prefix it prunes, so a proof has the size of the search tree rather than
-of the key-choice product.
+any n-ary application in binary Composition steps, cycling through the
+premises with a choice rule that reads only the n-ary conclusion, plus
+at most one final Upward closure. Its first pass still forms every key
+tuple's union, so its widest key set can reach the key-choice product.
+:func:`derive_keyset` builds, for any implied key set, a derivation of
+the shape one n-ary Composition, then Refinements, then at most one
+Upward closure. Its choice table is the implication search's own record,
+one entry per key it skips and per prefix it prunes, so a proof has the
+size of the search tree rather than of the key-choice product.
 
 Derivations are explicit objects: premises, steps with rule name,
 references, parameters and claimed conclusion, and a final conclusion.
@@ -32,7 +34,6 @@ occurrence is a dictionary lookup.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -42,6 +43,7 @@ from .core import (
     KeySet,
     KeySetFamily,
     ParseError,
+    ResourceLimit,
     Schema,
     _QUOTED_BODY,
     _parse_sets,
@@ -269,56 +271,19 @@ def check_derivation(d: Derivation) -> bool:
     return first_invalid_step(d) is None
 
 
+def _closed(
+    premises: KeySetFamily, steps: list[DerivationStep], current: KeySet, current_ref: Ref, goal: KeySet
+) -> Derivation:
+    """``steps`` as a derivation of ``goal``, ended by an Upward closure of
+    ``current`` unless it is ``goal`` already."""
+    if current != goal:
+        closed = apply_upward_closure(current, goal)
+        steps.append(DerivationStep(RULE_UPWARD, (current_ref,), UpwardClosureParams(goal), closed))
+    return Derivation(premises, tuple(steps), goal)
+
+
 # --------------------------------------------------------------------------
 # Simulating n-ary Composition with binary steps.
-
-
-def _decompose(x: AttrSet, family: KeySetFamily) -> list[list[AttrSet]] | None:
-    """Maximal per-premise key lists inside ``x``; None unless they cover x."""
-    parts = [[y for y in ks.sorted_keys if y <= x] for ks in family]
-    if any(not p for p in parts):
-        return None
-    if frozenset().union(*(y for p in parts for y in p)) != x:
-        return None
-    return parts
-
-
-def _chosen(choice: Mapping[tuple[AttrSet, ...], AttrSet], combo: tuple[AttrSet, ...]) -> AttrSet:
-    """The chosen set of the entry that begins the full key tuple ``combo``."""
-    for k in range(1, len(combo) + 1):
-        chosen = choice.get(combo[:k])
-        if chosen is not None:
-            return chosen
-    raise RuleError(f"choice has no entry for key tuple {_combo_text(combo)}")
-
-
-def _round_plan(
-    x: AttrSet,
-    family: KeySetFamily,
-    choice: Mapping[tuple[AttrSet, ...], AttrSet],
-) -> tuple[int, dict[AttrSet, AttrSet]]:
-    """Pick the smallest premise index whose keys inside ``x`` are all full
-    in some chosen set, mapping each such key to that chosen set."""
-    parts = _decompose(x, family)
-    if parts is None:
-        raise RuleError(f"set {sorted(x)} is not a union of premise keys")
-    n = len(family)
-    for i in range(n):
-        assignment: dict[AttrSet, AttrSet] = {}
-        for y in parts[i]:
-            pinned = [[y] if j == i else parts[j] for j in range(n)]
-            found = None
-            for combo in itertools.product(*pinned):
-                chosen = _chosen(choice, combo)
-                if y <= chosen:
-                    found = chosen
-                    break
-            if found is None:
-                break
-            assignment[y] = found
-        else:
-            return i, assignment
-    raise RuleError(f"no premise index works for set {sorted(x)}")
 
 
 def simulate_nary(
@@ -327,11 +292,27 @@ def simulate_nary(
     """Replay an n-ary Composition using binary Composition steps only,
     plus at most one final Upward closure.
 
-    The conclusion equals ``apply_composition(family, choice)``. The
-    number of binary Composition steps stays within
-    ``(n + 1) * |union of the premises' keys|``; if a pathological case
-    ever exceeded that bound the function raises instead of quietly
-    producing a longer derivation.
+    The conclusion is ``T = apply_composition(family, choice)``. For
+    n >= 3 the current key set starts as premise 0 and is composed with
+    premises 1, ..., n-1, 0, 1, ... in turn, at least n - 1 times, until
+    every current key is in T. Reading only T, never the choice table,
+    the pair of a current key W and a premise key y goes to W if W is in
+    T, or if some key of the premise inside W lies in no Z of T inside W;
+    else, if y is inside W, to the first Z of T with y <= Z <= W in
+    canonical order; else to W | y.
+
+    This ends. After the first pass every key outside T contains a key of
+    every premise. For such a W, some premise has every key inside W
+    under a Z of T inside W: otherwise the tuple of the failing keys
+    would have an entry whose chosen set lies inside W and contains one
+    of them. So each round of n compositions removes every non-target key
+    with the fewest premise keys inside it, and new keys only gain premise
+    keys. Past the bound of (n - 1) + n * |distinct premise keys|
+    compositions this raises :class:`RuleError`, and a step of more than
+    :data:`~keysets.implication.CHOICE_CAP` key pairs raises
+    :class:`~keysets.core.ResourceLimit`. The first pass still maps key
+    pairs to their unions, so the widest key set can reach the product of
+    the premises' sizes.
     """
     family = tuple(family)
     n = len(family)
@@ -345,80 +326,38 @@ def simulate_nary(
         left_ref: Ref, left: KeySet, right_ref: Ref, right: KeySet, mapping: dict
     ) -> tuple[KeySet, Ref]:
         result = apply_composition((left, right), mapping)
-        steps.append(
-            DerivationStep(
-                RULE_COMPOSITION,
-                (left_ref, right_ref),
-                CompositionParams(tuple(mapping.items())),
-                result,
-            )
-        )
+        params = CompositionParams(tuple(mapping.items()))
+        steps.append(DerivationStep(RULE_COMPOSITION, (left_ref, right_ref), params, result))
         return result, ("s", len(steps) - 1)
 
     if n == 2:
         result, _ = add_composition(("p", 0), family[0], ("p", 1), family[1], dict(choice))
         return Derivation(family, tuple(steps), result)
 
-    # Fold the premises left to right, always choosing the full pair union.
-    # The intermediate result collects the unions of all key tuples.
-    current: KeySet = family[0]
-    current_ref: Ref = ("p", 0)
-    for j in range(1, n):
-        mapping = {
-            (x, y): x | y for x in current.sorted_keys for y in family[j].sorted_keys
-        }
+    target_keys = target.sorted_keys
+    bound = (n - 1) + n * len(set().union(*(ks.keys for ks in family)))
+    current, current_ref = family[0], ("p", 0)
+    composed = 0
+    while composed < n - 1 or not current.keys <= target.keys:
+        if composed == bound:
+            raise RuleError(f"simulation passed its bound of {bound} binary compositions")
+        composed += 1
+        premise = family[composed % n]
+        pairs = len(current.keys) * len(premise.keys)
+        if pairs > implication.CHOICE_CAP:
+            raise ResourceLimit("binary composition pairs", pairs, implication.CHOICE_CAP)
+        mapping = {}
+        for w in current.sorted_keys:
+            inside = [z for z in target_keys if z <= w]
+            under = {y: next((z for z in inside if y <= z), None) for y in premise.keys if y <= w}
+            stay = w in target.keys or None in under.values()
+            for y in premise.sorted_keys:
+                mapping[(w, y)] = w if stay else under.get(y, w | y)
         current, current_ref = add_composition(
-            current_ref, current, ("p", j), family[j], mapping
+            current_ref, current, ("p", composed % n), premise, mapping
         )
 
-    # Rounds: combine with each premise once per round. Sets already in the
-    # target stay fixed. Every other set X picks a premise index i whose
-    # keys inside X are all full in some chosen set; X stays fixed until
-    # the round reaches premise i, is transformed there (full keys go to
-    # their chosen sets, the premise's other keys enlarge X), and the
-    # products stay fixed for the rest of the round.
-    target_keys = target.keys
-    round_cap = len(set().union(*(ks.keys for ks in family)))
-    rounds = 0
-    while not current.keys <= target_keys:
-        rounds += 1
-        if rounds > round_cap:
-            raise RuleError("simulation exceeded its round bound")
-        plans = {
-            x: _round_plan(x, family, choice)
-            for x in current.sorted_keys
-            if x not in target_keys
-        }
-        for j in range(n):
-            mapping = {}
-            for w in current.sorted_keys:
-                plan = plans.get(w)
-                transform = plan is not None and plan[0] == j
-                for y in family[j].sorted_keys:
-                    if transform:
-                        mapping[(w, y)] = plan[1].get(y, w | y)
-                    else:
-                        mapping[(w, y)] = w
-            current, current_ref = add_composition(
-                current_ref, current, ("p", j), family[j], mapping
-            )
-
-    composition_steps = sum(1 for s in steps if s.rule == RULE_COMPOSITION)
-    if composition_steps > (n + 1) * round_cap:
-        raise RuleError(
-            f"simulation used {composition_steps} binary compositions, "
-            f"bound is {(n + 1) * round_cap}"
-        )
-    if current != target:
-        steps.append(
-            DerivationStep(
-                RULE_UPWARD,
-                (current_ref,),
-                UpwardClosureParams(target),
-                apply_upward_closure(current, target),
-            )
-        )
-    return Derivation(family, tuple(steps), target)
+    return _closed(family, steps, current, current_ref, target)
 
 
 # --------------------------------------------------------------------------
@@ -490,16 +429,7 @@ def derive_keyset(premises: Sequence[KeySet], goal: KeySet) -> Derivation:
             )
             current_ref = ("s", len(steps) - 1)
             remaining = right
-    if current != goal:
-        steps.append(
-            DerivationStep(
-                RULE_UPWARD,
-                (current_ref,),
-                UpwardClosureParams(goal),
-                apply_upward_closure(current, goal),
-            )
-        )
-    return Derivation(premises, tuple(steps), goal)
+    return _closed(premises, steps, current, current_ref, goal)
 
 
 # --------------------------------------------------------------------------

@@ -54,7 +54,6 @@ from keysets.inference import (
     CompositionParams,
     RefinementParams,
     UpwardClosureParams,
-    _round_plan,
 )
 
 A, B, C, D = (frozenset({i}) for i in range(4))
@@ -321,10 +320,37 @@ def test_simulate_replays_a_derived_prefix_table():
     assert d.conclusion == step.conclusion
 
 
+def unsat_5_table():
+    """UNSAT_5's derived n-ary Composition: its premises and choice table."""
+    inst = from_3sat(parse_dimacs(UNSAT_5))
+    step = derive_keyset(inst.sigma, inst.phi).steps[0]
+    return tuple(inst.sigma[i] for _, i in step.refs), step.params.as_mapping()
+
+
+def test_simulate_replay_counts_on_a_derived_prefix_table():
+    # folding to every key tuple's union, then rounds per union, took 19
+    # Compositions and a widest key set of 32
+    d = simulate_nary(*unsat_5_table())
+    rules = [s.rule for s in d.steps]
+    assert (rules.count(RULE_COMPOSITION), rules.count(RULE_UPWARD)) == (11, 1)
+    assert max(len(s.conclusion.keys) for s in d.steps) == 23
+
+
+def test_simulate_pair_cap(monkeypatch):
+    # the replay's widest binary step lists 46 key pairs
+    family, table = unsat_5_table()
+    monkeypatch.setattr(implication, "CHOICE_CAP", 45)
+    with pytest.raises(ResourceLimit) as err:
+        simulate_nary(family, table)
+    assert (err.value.limit, err.value.size, err.value.cap) == ("binary composition pairs", 46, 45)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 46)
+    assert check_derivation(simulate_nary(family, table))
+
+
 def test_simulate_missing_entry_is_a_rule_error():
     family = (KeySet.of(A, B), KeySet.of(C), KeySet.of(D))
     with pytest.raises(RuleError, match="no entry for key tuple"):
-        _round_plan(A | C | D, family, {(B,): B})
+        simulate_nary(family, {(B,): B})
 
 
 def test_simulate_single_premise():
@@ -380,6 +406,19 @@ def test_simulate_matches_nary_on_random_choices(data):
     assert rules[-1] in (RULE_COMPOSITION, RULE_UPWARD)
     union_keys = len(set().union(*(ks.keys for ks in family)))
     assert rules.count(RULE_COMPOSITION) <= (n + 1) * union_keys
+
+
+@given(st.data())
+def test_simulate_matches_nary_on_random_prefix_tables(data):
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    family = random_family(rng, 5, max_members=5, min_members=3)
+    table = random_prefix_table(rng, family)
+    d = simulate_nary(family, table)
+    assert check_derivation(d)
+    assert d.conclusion == apply_composition(family, table)
+    compositions = [s.rule for s in d.steps].count(RULE_COMPOSITION)
+    n, pool = len(family), len(set().union(*(ks.keys for ks in family)))
+    assert 1 <= compositions <= (n - 1) + n * pool
 
 
 # --------------------------------------------------------------------------
