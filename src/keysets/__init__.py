@@ -15,6 +15,7 @@ from .armstrong import (
     AntiKeyReport,
     Hypergraph,
     anti_keys,
+    armstrong_chain,
     generate_armstrong,
     is_armstrong_unary,
     minimal_transversals,

@@ -28,6 +28,7 @@ __all__ = [
     "Hypergraph",
     "TRANSVERSAL_CAP",
     "anti_keys",
+    "armstrong_chain",
     "generate_armstrong",
     "is_armstrong_unary",
     "minimal_transversals",
@@ -178,20 +179,20 @@ def generate_armstrong(sigma: Sequence[KeySet], schema: Schema) -> Relation:
     Values are generated as ``v<attribute>_<counter>`` and never repeat
     within a column except where the chain repeats them on purpose.
     """
-    return _armstrong_chain(anti_keys(sigma, schema).anti_keys, schema)
+    return armstrong_chain(anti_keys(sigma, schema), schema)
 
 
-def _armstrong_chain(aks: Sequence[AttrSet], schema: Schema) -> Relation:
-    """The chain relation of :func:`generate_armstrong` for anti-keys
-    already enumerated; ``keysets armstrong`` passes the ones it prints.
-    Each row copies the last and draws fresh values only outside its
-    anti-key."""
+def armstrong_chain(report: AntiKeyReport, schema: Schema) -> Relation:
+    """The chain relation of :func:`generate_armstrong` for a report
+    :func:`anti_keys` already made, so a caller that wants both pays for
+    the transversals once. Each row copies the last and draws fresh
+    values only outside its anti-key."""
     prefixes = [f"v{name}_" for name in schema.attributes]
     counters = [1] * len(schema)
     row = [f"{p}0" for p in prefixes]
     rows = [tuple(row)]
     everything = schema.all_attrs()
-    for anti in aks:
+    for anti in report.anti_keys:
         for c in everything - anti:
             row[c] = f"{prefixes[c]}{counters[c]}"
             counters[c] += 1

@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .armstrong import _armstrong_chain, anti_keys
+from .armstrong import anti_keys, armstrong_chain
 from .bench import format_table, gen_random_keyset, gen_sequential_keysets, reports_to_jsonl, run_bench
 from .core import (
     KeySet,
@@ -165,7 +165,7 @@ def _cmd_armstrong(args: argparse.Namespace) -> int:
     schema = _resolve_schema(args.schema)
     sigma = _read_keyset_family(args.sigma, schema)
     report = anti_keys(sigma, schema)
-    relation = _armstrong_chain(report.anti_keys, schema)
+    relation = armstrong_chain(report, schema)
     anti_lines = [format_attr_set(a, schema) for a in report.anti_keys]
     if args.out:
         write_csv(relation, args.out)

@@ -11,15 +11,17 @@ A failing choice yields a two-row counterexample relation directly.
 ``implies`` picks keys depth first. It skips each key inside the keys of
 ``phi`` it contains (any choice holding it is fine), and every
 completion of a prefix that is already fine: the chosen keys and the
-keys of ``phi`` inside their union only grow as keys are added. The
-witness is the canonically smallest failing choice. For a unary ``phi``
-the skip is the paper's criterion, and no kept key is ever covered, so
-at most ``len(sigma)`` nodes are visited. In general the problem is
-coNP-complete; the search stops after :data:`CHOICE_CAP` nodes unless
-the kept keys' choice product is within that cap too. The search can
-record each skipped key and pruned prefix in place, in order: that is
-the choice table :func:`~keysets.inference.derive_keyset` writes as its
-proof, of the size of the search tree, not of the product.
+keys of ``phi`` inside their union only grow as keys are added. A node
+tests only the keys of ``phi`` that meet its new key, so its cost
+follows those, not the size of ``phi``. The witness is the canonically
+smallest failing choice. For a unary ``phi`` the skip is the paper's
+criterion, and no kept key is ever covered, so at most ``len(sigma)``
+nodes are visited. In general the problem is coNP-complete; the search
+stops after :data:`CHOICE_CAP` nodes unless the kept keys' choice
+product is within that cap too. The search can record each skipped key
+and pruned prefix in place, in order: that is the choice table
+:func:`~keysets.inference.derive_keyset` writes as its proof, of the
+size of the search tree, not of the product.
 
 An empty ``sigma`` implies nothing: two identical total rows satisfy
 every member of the empty family and violate any key set.
@@ -164,14 +166,20 @@ def _search(
     prefix's union: both only grow as keys are added. Skipped keys and
     pruned prefixes go to ``leaves``, when given, in order, as key indices
     per member spanned. Attribute sets are int bitmasks; while ``covered``
-    stays as it was at the parent, only the new key needs the test.
+    stays as it was at the parent, only the new key needs the test. A
+    node scans only the keys of ``phi`` that meet its new key, listed once
+    per call: a key of ``phi`` inside the union that misses the new key
+    lies inside the parent's union, so it is already in the parent's
+    ``covered``. The root skip reads the same lists, since a key of
+    ``phi`` inside a key meets it.
     Raises :class:`ResourceLimit` on node ``CHOICE_CAP + 1`` when the kept
     keys' choice product exceeds it.
     """
     goal = [_mask(y) for y in phi.sorted_keys]
     least = min(y.bit_count() for y in goal)
     masks = [[_mask(x) for x in ks.sorted_keys] for ks in sigma]
-    members = [[x if x.bit_count() < least or x & ~_covered(x, goal) else 0 for x in keys] for keys in masks]  # 0: skipped
+    meeting = {x: [y for y in goal if y & x] for keys in masks for x in keys}  # per key: the phi keys it meets
+    members = [[x if x.bit_count() < least or x & ~_covered(x, meeting[x]) else 0 for x in keys] for keys in masks]  # 0: skipped
     if not all(any(keys) for keys in members):
         return None, 0
     depth = len(members)
@@ -196,7 +204,7 @@ def _search(
                 raise ResourceLimit("search nodes", nodes, cap)
             union = unions[d] | x
             covered = covers[d]
-            for y in goal:
+            for y in meeting[x]:
                 if y & union == y:
                     covered |= y
             if not (x & covered == x or covered != covers[d] and any(c & covered == c for c in chosen[:d])):

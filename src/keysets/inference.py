@@ -120,7 +120,8 @@ def apply_composition(
     every full tuple: counted as the product of the remaining premises'
     sizes, they sum to the product of all sizes. For n = 1 the side
     conditions force every chosen set to equal its key, so the result is
-    the premise itself.
+    the premise itself. The test that no entry extends another walks each
+    entry once, so it is linear in the entries' total length.
     """
     family = tuple(family)
     if not family:
@@ -130,13 +131,26 @@ def apply_composition(
     for ks in reversed(family):
         tails.append(tails[-1] * len(ks))
     tails.reverse()
+    # a trie of the entries' key tuples, ``end`` marking where an entry
+    # ends: each entry is walked once to build it and once to test its
+    # prefixes
+    trie: dict = {}
+    end = object()
+    for combo in choice:
+        node = trie
+        for x in combo:
+            node = node.setdefault(x, {})
+        node[end] = None
     counted = 0
     out: set[AttrSet] = set()
     for combo, chosen in choice.items():
         if not 0 < len(combo) <= len(family) or any(x not in ks.keys for x, ks in zip(combo, family)):
             raise RuleError(f"key tuple {_combo_text(combo)} is not drawn from the premises")
-        if any(combo[:k] in choice for k in range(1, len(combo))):
-            raise RuleError(f"entry for key tuple {_combo_text(combo)} extends another entry")
+        node = trie
+        for x in combo[:-1]:
+            node = node[x]
+            if end in node:
+                raise RuleError(f"entry for key tuple {_combo_text(combo)} extends another entry")
         counted += tails[len(combo)]
         chosen = frozenset(chosen)
         union = frozenset().union(*combo)

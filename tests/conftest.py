@@ -403,6 +403,57 @@ def reference_implies(inst) -> Decision:
     return Decision(True, None)
 
 
+def reference_search(sigma, phi, leaves=None) -> tuple[tuple[int, ...] | None, int]:
+    """``implication._search`` as it was before phi was indexed: every node
+    and every root skip tests every key of phi. Uncapped. The oracle for
+    the indexed search's picks, node count and ``leaves`` record."""
+
+    def mask(attrs) -> int:
+        return sum(1 << a for a in attrs)
+
+    def covered(union: int) -> int:
+        out = 0
+        for y in goal:
+            if y & union == y:
+                out |= y
+        return out
+
+    goal = [mask(y) for y in phi.sorted_keys]
+    least = min(y.bit_count() for y in goal)
+    masks = [[mask(x) for x in ks.sorted_keys] for ks in sigma]
+    members = [[x if x.bit_count() < least or x & ~covered(x) else 0 for x in keys] for keys in masks]
+    if not all(any(keys) for keys in members):
+        return None, 0
+    depth = len(members)
+    picks = [-1] * depth
+    chosen = [0] * depth
+    unions = [0] * (depth + 1)
+    covers = [0] * (depth + 1)
+    nodes = 0
+    d = 0
+    while d >= 0:
+        picks[d] += 1
+        if picks[d] == len(members[d]):
+            picks[d] = -1
+            d -= 1
+            continue
+        x = chosen[d] = members[d][picks[d]]
+        if x:
+            nodes += 1
+            union = unions[d] | x
+            cov = covers[d] | covered(union)
+            if not (x & cov == x or cov != covers[d] and any(c & cov == c for c in chosen[:d])):
+                if d + 1 == depth:
+                    return tuple(picks), nodes
+                unions[d + 1] = union
+                covers[d + 1] = cov
+                d += 1
+                continue
+        if leaves is not None:
+            leaves.append(tuple(picks[: d + 1]))
+    return None, nodes
+
+
 # --------------------------------------------------------------------------
 # Hypothesis strategies.
 

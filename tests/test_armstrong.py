@@ -23,6 +23,7 @@ from keysets import (
     Row,
     Schema,
     anti_keys,
+    armstrong_chain,
     generate_armstrong,
     implies,
     implies_unary,
@@ -188,6 +189,7 @@ def test_generate_armstrong_ward(ward_schema, x1, x2, phi_prime):
     assert rel.rows[0].values == ("vroom_0", "vname_0", "vaddress_0", "vinjury_0", "vtime_0")
     # consecutive rows agree exactly on the anti-keys, in order
     report = anti_keys((x1, x2), ward_schema)
+    assert armstrong_chain(report, ward_schema).rows == rel.rows  # the chain alone, from a report in hand
     for i, anti in enumerate(report.anti_keys):
         prev, cur = rel.rows[i].values, rel.rows[i + 1].values
         agree = frozenset(c for c in range(5) if prev[c] == cur[c])

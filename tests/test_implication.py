@@ -27,6 +27,7 @@ from conftest import (
     random_family,
     random_keyset,
     reference_implies,
+    reference_search,
     witness_refutes,
 )
 from keysets import (
@@ -301,6 +302,36 @@ def test_search_records_skipped_keys_in_place():
     leaves = []
     assert _search(inst.sigma, inst.phi, leaves) == (None, 4)
     assert leaves == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_indexed_search_matches_the_full_scan():
+    # a node tests only the phi keys that meet its new key; its picks, node
+    # count and record must be those of the scan over every key of phi
+    formulas = (from_3sat(planted_3cnf(seed, 20, 80)) for seed in range(10))
+    for inst in itertools.chain(search_record_instances(), formulas):
+        leaves, expected = [], []
+        assert _search(inst.sigma, inst.phi, leaves) == reference_search(inst.sigma, inst.phi, expected)
+        assert leaves == expected
+
+
+def test_time_per_node_follows_the_phi_keys_that_meet_the_new_key(monkeypatch):
+    # both searches raise on node 50,001; phi has 160 keys in one and 2 in
+    # the other, but a node of the first tests only the clause keys that
+    # hold its literal, about 6 of them
+    monkeypatch.setattr(implication, "CHOICE_CAP", 50_000)
+
+    def time_to_cap(inst):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            with pytest.raises(ResourceLimit) as err:
+                _search(inst.sigma, inst.phi)
+            times.append(time.perf_counter() - started)
+            assert err.value.size == 50_001
+        return min(times)
+
+    ratio = time_to_cap(from_3sat(planted_3cnf(1, 40, 160))) / time_to_cap(pair_c_instance(16))
+    assert ratio <= 4.0
 
 
 def sequential_instance(n: int) -> ImplicationInstance:
