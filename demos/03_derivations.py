@@ -9,8 +9,8 @@ n-ary form of Composition is only a convenience: binary steps suffice.
 derive_keyset reads its proof off the implication search, so a proof for
 an unsatisfiable 10-variable formula stays a few kilobytes long, while
 the key-choice product behind it has 2**10 tuples. Replaying that proof's
-n-ary step in binary steps still builds a key set close to the product's
-size, since the replay's first pass forms the unions of the key tuples.
+n-ary step in binary steps takes one step per premise after the first, and
+no key set along the way has more keys than the table has entries.
 
 Run: python3 demos/03_derivations.py
 """
@@ -95,8 +95,9 @@ def main():
     family = tuple(inst.sigma[i] for _, i in step.refs)
     replay = simulate_nary(family, step.params.as_mapping())
     widest = max(len(s.conclusion.keys) for s in replay.steps)
-    print(f"  its n-ary step in binary steps: {len(replay.steps)} steps, widest key set {widest} keys, "
-          f"checks out: {check_derivation(replay)}")
+    print(f"  its n-ary step in binary steps: {len(replay.steps)} steps, widest key set {widest} keys "
+          f"(the table has {entries} entries), checks out: {check_derivation(replay)}")
+    assert widest <= entries, "the replay outgrew the choice table"
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .core import KeySet, Relation, Schema, format_keyset
@@ -49,16 +49,7 @@ class BenchReport:
     blocks: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "keyset": self.keyset,
-            "algo": self.algo,
-            "repeats": self.repeats,
-            "times_ms": list(self.times_ms),
-            "mean_ms": self.mean_ms,
-            "violating_tuples": self.violating_tuples,
-            "blocks": self.blocks,
-        }
+        return {**asdict(self), "times_ms": list(self.times_ms)}
 
 
 def gen_sequential_keysets(schema: Schema) -> tuple[KeySet, ...]:

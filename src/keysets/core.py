@@ -499,6 +499,8 @@ def parse_keyset_lines(text: str, schema: Schema) -> KeySetFamily:
 def format_attr_name(name: str) -> str:
     if _IDENT.fullmatch(name):
         return name
+    if "".join(name.splitlines()) != name:
+        raise ValueError(f"attribute name {name!r} holds a line break, so its text would not read back")
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 

@@ -14,8 +14,8 @@ the first k premises only: a set inside that tuple's union lies inside
 the union of every full tuple it begins. :func:`simulate_nary` replays
 any n-ary application in binary Composition steps, cycling through the
 premises with a choice rule that reads only the n-ary conclusion, plus
-at most one final Upward closure. Its first pass still forms every key
-tuple's union, so its widest key set can reach the key-choice product.
+at most one final Upward closure. On a table that :func:`derive_keyset`
+reads off a 3-CNF instance, no key set is wider than the table.
 :func:`derive_keyset` builds, for any implied key set, a derivation of
 the shape one n-ary Composition, then Refinements, then at most one
 Upward closure. Its choice table is the implication search's own record,
@@ -309,11 +309,11 @@ def simulate_nary(
     The conclusion is ``T = apply_composition(family, choice)``. For
     n >= 3 the current key set starts as premise 0 and is composed with
     premises 1, ..., n-1, 0, 1, ... in turn, at least n - 1 times, until
-    every current key is in T. Reading only T, never the choice table,
-    the pair of a current key W and a premise key y goes to W if W is in
-    T, or if some key of the premise inside W lies in no Z of T inside W;
-    else, if y is inside W, to the first Z of T with y <= Z <= W in
-    canonical order; else to W | y.
+    every current key is in T. The choice reads only T: for a current key
+    W and a premise key y, z(W, y) is the first Z of T in canonical order
+    with y <= Z <= W | y. W stays, as one entry (W,) -> W, if it is in T
+    or if some premise key y inside W has no z(W, y); else each pair
+    (W, y) goes to z(W, y), or to W | y when there is none.
 
     This ends. After the first pass every key outside T contains a key of
     every premise. For such a W, some premise has every key inside W
@@ -321,12 +321,19 @@ def simulate_nary(
     would have an entry whose chosen set lies inside W and contains one
     of them. So each round of n compositions removes every non-target key
     with the fewest premise keys inside it, and new keys only gain premise
-    keys. Past the bound of (n - 1) + n * |distinct premise keys|
+    keys, since a pair takes the union W | y only when y is not inside W
+    and no key of T lies between y and W | y. Past the bound of (n - 1) + n * |distinct premise keys|
     compositions this raises :class:`RuleError`, and a step of more than
     :data:`~keysets.implication.CHOICE_CAP` key pairs raises
-    :class:`~keysets.core.ResourceLimit`. The first pass still maps key
-    pairs to their unions, so the widest key set can reach the product of
-    the premises' sizes.
+    :class:`~keysets.core.ResourceLimit`.
+
+    On a table that :func:`derive_keyset` reads off a
+    :func:`~keysets.implication.from_3sat` instance, every chosen set
+    holds its entry's last key, since the search prunes a prefix as soon
+    as a key of phi inside its union holds one of its one-literal keys.
+    So each prefix's union maps into T as its entry closes, and each open
+    prefix, which no key of T fits, extends: the replay takes n - 1
+    compositions, and no key set has more keys than the table has entries.
     """
     family = tuple(family)
     n = len(family)
@@ -348,7 +355,6 @@ def simulate_nary(
         result, _ = add_composition(("p", 0), family[0], ("p", 1), family[1], dict(choice))
         return Derivation(family, tuple(steps), result)
 
-    target_keys = target.sorted_keys
     bound = (n - 1) + n * len(set().union(*(ks.keys for ks in family)))
     current, current_ref = family[0], ("p", 0)
     composed = 0
@@ -362,14 +368,12 @@ def simulate_nary(
             raise ResourceLimit("binary composition pairs", pairs, implication.CHOICE_CAP)
         mapping = {}
         for w in current.sorted_keys:
-            inside = [z for z in target_keys if z <= w]
-            under = {y: next((z for z in inside if y <= z), None) for y in premise.keys if y <= w}
-            stay = w in target.keys or None in under.values()
-            for y in premise.sorted_keys:
-                mapping[(w, y)] = w if stay else under.get(y, w | y)
-        current, current_ref = add_composition(
-            current_ref, current, ("p", composed % n), premise, mapping
-        )
+            into = {y: next((z for z in target if y <= z <= w | y), None) for y in premise}
+            if w in target.keys or any(into[y] is None for y in premise.keys if y <= w):
+                mapping[(w,)] = w
+            else:
+                mapping.update(((w, y), z or w | y) for y, z in into.items())
+        current, current_ref = add_composition(current_ref, current, ("p", composed % n), premise, mapping)
 
     return _closed(family, steps, current, current_ref, target)
 

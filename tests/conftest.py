@@ -48,6 +48,8 @@ from keysets.inference import (
     RefinementParams,
     RuleError,
     UpwardClosureParams,
+    apply_composition,
+    apply_upward_closure,
 )
 
 settings.register_profile("suite", max_examples=60, deadline=None)
@@ -313,6 +315,43 @@ def reference_apply_composition(family, choice) -> KeySet:
             raise RuleError("no component key is contained in the chosen set")
         out.add(chosen)
     return KeySet(frozenset(out))
+
+
+def reference_simulate_nary(family, choice) -> Derivation:
+    """``simulate_nary`` with its earlier choice rule: a key W of the
+    current key set stays if it is in T or if some premise key inside W
+    lies in no key of T inside W; else a pair (W, y) with y inside W goes
+    to the first key of T between y and W, and any other pair to W | y.
+    Every pair is listed, and no cap applies."""
+    family = tuple(family)
+    n = len(family)
+    target = apply_composition(family, choice)
+    if n == 1:
+        return Derivation(family, (), target)
+    if n == 2:
+        params = CompositionParams(tuple(choice.items()))
+        return Derivation(family, (DerivationStep(RULE_COMPOSITION, (("p", 0), ("p", 1)), params, target),), target)
+    steps: list[DerivationStep] = []
+    current, ref = family[0], ("p", 0)
+    composed = 0
+    while composed < n - 1 or not current.keys <= target.keys:
+        composed += 1
+        premise = family[composed % n]
+        mapping = {}
+        for w in current.sorted_keys:
+            inside = [z for z in target.sorted_keys if z <= w]
+            under = {y: next((z for z in inside if y <= z), None) for y in premise.keys if y <= w}
+            stay = w in target.keys or None in under.values()
+            for y in premise.sorted_keys:
+                mapping[(w, y)] = w if stay else under.get(y, w | y)
+        current = apply_composition((current, premise), mapping)
+        params = CompositionParams(tuple(mapping.items()))
+        steps.append(DerivationStep(RULE_COMPOSITION, (ref, ("p", composed % n)), params, current))
+        ref = ("s", len(steps) - 1)
+    if current != target:
+        closed = apply_upward_closure(current, target)
+        steps.append(DerivationStep(RULE_UPWARD, (ref,), UpwardClosureParams(target), closed))
+    return Derivation(family, tuple(steps), target)
 
 
 # An unsatisfiable 3-CNF formula over 15 variables.

@@ -262,6 +262,15 @@ def test_schema_spec_not_a_file_is_parsed(spec, message, sigma_file, capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_schema_name_with_a_line_break_is_refused(tmp_path, capsys):
+    """A quoted header cell may span lines; its name cannot be written."""
+    data = tmp_path / "multiline.csv"
+    data.write_text('"a\nb",c\n1,2\n', encoding="utf-8")
+    assert run_cli(["gen-keysets", "--schema", str(data), "--mode", "sequential"]) == 2
+    message = "attribute name 'a\\nb' holds a line break, so its text would not read back"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_long_inline_schema_is_parsed(capsys):
     """A list longer than a file name may be is still a list, not an
     error from the file system."""

@@ -9,6 +9,7 @@ sorts attributes by schema position and keys lexicographically.
 import copy
 import io
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from keysets import (
     ResourceLimit,
     Row,
     Schema,
+    derive_keyset,
     format_attr_set,
+    format_derivation,
     format_keyset,
     format_schema,
     load_csv,
@@ -345,6 +348,26 @@ def test_format_attr_name_quotes():
     assert format_attr_name("a b") == '"a b"'
     assert format_attr_name('say "hi"') == '"say \\"hi\\""'
     assert format_attr_name("back\\slash") == '"back\\\\slash"'
+
+
+# every boundary of str.splitlines
+LINE_BREAKS = ("\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS)
+def test_names_with_line_breaks_are_not_written(brk):
+    """The text forms are read line by line, so a name that would span two
+    lines is refused rather than written as an unterminated quote."""
+    name = f"a{brk}b"
+    schema = Schema.of(name, "c")
+    ks = KeySet.of({0}, {1})
+    derivation = derive_keyset((ks,), ks)
+    message = re.escape(f"attribute name {name!r} holds a line break")
+    for write in (format_schema, lambda s: format_keyset(ks, s), lambda s: format_derivation(derivation, s)):
+        with pytest.raises(ValueError, match=message):
+            write(schema)
+    with pytest.raises(ValueError, match="holds a line break"):
+        format_attr_name(brk)
 
 
 def test_schema_text_round_trip():

@@ -19,6 +19,7 @@ from conftest import (
     random_family,
     random_prefix_table,
     reference_apply_composition,
+    reference_simulate_nary,
 )
 from hypothesis import given
 from hypothesis import strategies as st
@@ -44,7 +45,7 @@ from keysets import (
     simulate_nary,
 )
 from keysets import implication
-from keysets.implication import from_3sat, implies_bruteforce, parse_dimacs
+from keysets.implication import CnfFormula, from_3sat, implies_bruteforce, parse_dimacs, satisfiable
 from keysets.implication import CHOICE_CAP
 from keysets.inference import (
     RULE_COMPOSITION,
@@ -283,6 +284,16 @@ def test_arity_violations_detected(x1, x2):
     assert first_invalid_step(Derivation((x1,), (bad_comp,), x1)) == 0
     unknown = DerivationStep("Weakening", (("p", 0),), UpwardClosureParams(x2), x1)
     assert first_invalid_step(Derivation((x1,), (unknown,), x1)) == 0
+    # a split that one input would allow
+    target = x1.sorted_keys[0]
+    left = frozenset({min(target)})
+    split = apply_refinement(x1, target, left, target - left)
+    two_refined = DerivationStep(
+        RULE_REFINEMENT, (("p", 0), ("p", 1)), RefinementParams(target, left, target - left), split
+    )
+    assert first_invalid_step(Derivation((x1, x2), (two_refined,), split)) == 0
+    empty_nary = DerivationStep(RULE_NARY, (), CompositionParams(()), x1)
+    assert first_invalid_step(Derivation((x1,), (empty_nary,), x1)) == 0
 
 
 def test_later_steps_checked_after_valid_prefix(x1):
@@ -320,9 +331,10 @@ def test_simulate_replays_a_derived_prefix_table():
     assert d.conclusion == step.conclusion
 
 
-def unsat_5_table():
-    """UNSAT_5's derived n-ary Composition: its premises and choice table."""
-    inst = from_3sat(parse_dimacs(UNSAT_5))
+def derived_table(formula: CnfFormula):
+    """The premises and choice table of the n-ary Composition that
+    ``derive_keyset`` builds for an unsatisfiable formula."""
+    inst = from_3sat(formula)
     step = derive_keyset(inst.sigma, inst.phi).steps[0]
     return tuple(inst.sigma[i] for _, i in step.refs), step.params.as_mapping()
 
@@ -330,21 +342,66 @@ def unsat_5_table():
 def test_simulate_replay_counts_on_a_derived_prefix_table():
     # folding to every key tuple's union, then rounds per union, took 19
     # Compositions and a widest key set of 32
-    d = simulate_nary(*unsat_5_table())
+    d = simulate_nary(*derived_table(parse_dimacs(UNSAT_5)))
     rules = [s.rule for s in d.steps]
-    assert (rules.count(RULE_COMPOSITION), rules.count(RULE_UPWARD)) == (11, 1)
-    assert max(len(s.conclusion.keys) for s in d.steps) == 23
+    assert (rules.count(RULE_COMPOSITION), rules.count(RULE_UPWARD)) == (4, 0)
+    assert max(len(s.conclusion.keys) for s in d.steps) == 13
 
 
 def test_simulate_pair_cap(monkeypatch):
-    # the replay's widest binary step lists 46 key pairs
-    family, table = unsat_5_table()
-    monkeypatch.setattr(implication, "CHOICE_CAP", 45)
+    # the replay's widest binary step has 20 key pairs
+    family, table = derived_table(parse_dimacs(UNSAT_5))
+    monkeypatch.setattr(implication, "CHOICE_CAP", 19)
     with pytest.raises(ResourceLimit) as err:
         simulate_nary(family, table)
-    assert (err.value.limit, err.value.size, err.value.cap) == ("binary composition pairs", 46, 45)
-    monkeypatch.setattr(implication, "CHOICE_CAP", 46)
+    assert (err.value.limit, err.value.size, err.value.cap) == ("binary composition pairs", 20, 19)
+    monkeypatch.setattr(implication, "CHOICE_CAP", 20)
     assert check_derivation(simulate_nary(family, table))
+
+
+def test_simulate_unsat_15_within_the_table():
+    # 15 premises of two keys each: the key-choice product has 32,768 tuples
+    family, table = derived_table(parse_dimacs(UNSAT_15))
+    started = time.perf_counter()
+    d = simulate_nary(family, table)
+    assert time.perf_counter() - started < 1.0
+    assert check_derivation(d)
+    assert d.conclusion == apply_composition(family, table)
+    rules = [s.rule for s in d.steps]
+    assert (rules.count(RULE_COMPOSITION), rules.count(RULE_UPWARD)) == (14, 0)
+    assert (len(table), max(len(s.conclusion.keys) for s in d.steps)) == (791, 166)
+    assert sum(len(s.params.entries) for s in d.steps) == 1_744
+
+
+def random_3cnf(rng: random.Random, num_vars: int, num_clauses: int) -> CnfFormula:
+    variables = tuple(f"x{i}" for i in range(1, num_vars + 1))
+    clauses = (frozenset((v, rng.random() < 0.5) for v in rng.sample(variables, 3)) for _ in range(num_clauses))
+    return CnfFormula(variables, tuple(clauses))
+
+
+def test_simulate_derived_tables_stay_within_their_entries():
+    """Seven unsatisfiable random formulas per size, 4 to 11 variables at
+    six clauses per variable: every chosen set holds its entry's last
+    key, so the replay takes n - 1 Compositions and no key set outgrows
+    the table."""
+    rng = random.Random(20261019)
+    checked = 0
+    for num_vars in range(4, 12):
+        found = 0
+        while found < 7:
+            formula = random_3cnf(rng, num_vars, 6 * num_vars)
+            if satisfiable(formula):
+                continue
+            found += 1
+            family, table = derived_table(formula)
+            assert all(combo[-1] <= chosen for combo, chosen in table.items())
+            d = simulate_nary(family, table)
+            assert check_derivation(d)
+            assert d.conclusion == apply_composition(family, table)
+            assert [s.rule for s in d.steps] == [RULE_COMPOSITION] * (len(family) - 1)
+            assert max(len(s.conclusion.keys) for s in d.steps) <= len(table)
+            checked += 1
+    assert checked == 56
 
 
 def test_simulate_missing_entry_is_a_rule_error():
@@ -414,11 +471,18 @@ def test_simulate_matches_nary_on_random_prefix_tables(data):
     family = random_family(rng, 5, max_members=5, min_members=3)
     table = random_prefix_table(rng, family)
     d = simulate_nary(family, table)
+    target = apply_composition(family, table)
     assert check_derivation(d)
-    assert d.conclusion == apply_composition(family, table)
-    compositions = [s.rule for s in d.steps].count(RULE_COMPOSITION)
+    assert d.conclusion == target
+    compositions = [s for s in d.steps if s.rule == RULE_COMPOSITION]
     n, pool = len(family), len(set().union(*(ks.keys for ks in family)))
-    assert 1 <= compositions <= (n - 1) + n * pool
+    assert 1 <= len(compositions) <= (n - 1) + n * pool
+    # the union rule's replay takes at least as many steps, and at each
+    # one holds every key outside T that this replay holds
+    reference = [s for s in reference_simulate_nary(family, table).steps if s.rule == RULE_COMPOSITION]
+    assert len(compositions) <= len(reference)
+    for step, ref in zip(compositions, reference):
+        assert step.conclusion.keys - target.keys <= ref.conclusion.keys - target.keys
 
 
 # --------------------------------------------------------------------------
