@@ -13,20 +13,29 @@ Two independent routes compute which rows take part in a violation:
   can match anything. Each key is one round of numpy sorting and grouping
   over the relation's integer codes (:attr:`Relation.codes`), so the run
   time is linear in rows times total key size, up to the sort's log factor,
-  for bounded block overlap. :func:`block_trace` and :func:`satisfies` run
-  the same refinement loop; ``satisfies`` stops at the first empty state.
-  A state holding more than :data:`BLOCK_ROW_CAP` row copies raises
+  for bounded block overlap. Every sort of a class or row key packs the
+  key with its index below it into one int64 and runs a plain
+  ``np.sort``, about three times faster than ``np.argsort``; the class
+  key is re-densified whenever the next column would leave too little
+  room for the index bits. The one fallback, a stable ``np.argsort``, runs
+  only when a key still does not pack, which on a total relation takes
+  2**21 rows and columns of as many values (:func:`_order`).
+  :func:`block_trace` and :func:`satisfies` run the same refinement loop;
+  ``satisfies`` stops at the first empty state. A state holding more
+  than :data:`BLOCK_ROW_CAP` row copies raises
   :class:`~keysets.core.ResourceLimit` before it is built.
 
   The order of the keys sets the work, not the answer. Each incomplete
   row is copied into every class of its block, so ``violating_blocks``
   and ``satisfies`` take the keys with the fewest missing cells in their
-  columns first (:attr:`Relation.null_counts`, ties in canonical order),
-  and a total relation refines in canonical order. The answer does not
-  depend on the order: a maximal set of rows that no key separates stays
-  inside one block whatever the order, since its total members agree on
-  each key and its incomplete members join every class, and every block
-  is such a set or inside one. So the final state's maximal blocks, and
+  columns first (:attr:`Relation.null_counts`). Ties, such as every key
+  of a total relation, go to the key with the most distinct values
+  first, which leaves the fewest rows in blocks for the keys after it;
+  remaining ties keep canonical order. The answer does not depend on the
+  order: a maximal set of rows that no key separates stays inside one
+  block whatever the order, since its total members agree on each key
+  and its incomplete members join every class, and every block is such a
+  set or inside one. So the final state's maximal blocks, and
   whether it is empty, are the same in every order. :func:`block_trace`
   reports its per-key states in canonical order.
 
@@ -46,6 +55,7 @@ The union of the returned blocks always equals the naive violating set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -124,12 +134,26 @@ def _within(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _dense(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort order of ``key`` (values below ``bound``) and its values'
-    dense ranks in that order. Ties broken by index make any sort stable, and
-    a plain sort of ``key * len + index`` is several times faster if it fits."""
+def _order(key: np.ndarray, bound: int) -> np.ndarray:
+    """Stable sort order of ``key``, whose values lie in ``[0, bound)``.
+
+    Each value is packed with its index below it, ``key << shift | index``,
+    and sorted with a plain ``np.sort``, which is about three times faster
+    than ``np.argsort`` on int64; the index bits left after the sort are
+    the order, and they break ties by position. When ``bound`` leaves no
+    room for the index bits in int64, a stable ``np.argsort`` runs instead.
+    """
     m = len(key)
-    order = np.argsort(key * m + np.arange(m)) if bound * m < 1 << 63 else np.argsort(key, kind="stable")
+    shift = m.bit_length()
+    if bound > 1 << (63 - shift):
+        return np.argsort(key, kind="stable")
+    return np.sort(key << shift | np.arange(m)) & ((1 << shift) - 1)
+
+
+def _dense(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of ``key`` (values below ``bound``, see
+    :func:`_order`) and its values' dense ranks in that order."""
+    order = _order(key, bound)
     return order, np.cumsum(_change(key[order])) - 1
 
 
@@ -185,11 +209,12 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
     all_total = total.all()
     t_blk, t_pos, sub = (blk, pos, sub) if all_total else (blk[total], pos[total], [s[total] for s in sub])
     # class key: block id, then each key column, in mixed radix; re-densify
-    # whenever the next step could leave int64
+    # whenever the next step would leave no room for _order's index bits
     key, bound = t_blk.astype(np.int64), nblocks
+    room = 1 << (63 - len(key).bit_length())
     for s in sub:
         card = int(s.max(initial=0)) + 1
-        if bound * card >= 1 << 62:
+        if bound * card > room:
             order, rank = _dense(key, bound)
             key = np.empty_like(rank)
             key[order] = rank
@@ -212,7 +237,7 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
         o_cls = np.cumsum(_change(i_blk[orphan])) - 1 + per_block.sum()
         cls = np.concatenate((cls, c_cls, o_cls))
         new_pos = np.concatenate((new_pos, np.repeat(i_pos, copies), i_pos[orphan]))
-        order = np.argsort(cls * n + new_pos)
+        order = _order(cls * n + new_pos, (int(cls.max()) + 1) * n)
         cls, new_pos = cls[order], new_pos[order]
     keep = np.bincount(cls) >= 2
     member = keep[cls]
@@ -240,10 +265,17 @@ def _refine(relation: Relation, keys: Iterable[AttrSet]) -> Iterator[tuple[np.nd
 
 def _fewest_missing_first(relation: Relation, ks: KeySet) -> list[AttrSet]:
     """The keys of ``ks`` by the missing cells in their columns, fewest
-    first; the stable sort keeps canonical order among ties, so a total
-    relation gets ``ks.sorted_keys``."""
+    first, and among those by their distinct values, most first. A key's
+    distinct values are estimated as the product of its columns'
+    dictionary sizes, capped at the row count; the stable sort keeps
+    canonical order among the remaining ties."""
     nulls = relation.null_counts
-    return sorted(ks.sorted_keys, key=lambda key: sum(nulls[a] for a in key))
+    sizes = [len(d) for d in relation.dictionaries]
+    rows = len(relation)
+    return sorted(
+        ks.sorted_keys,
+        key=lambda key: (sum(nulls[a] for a in key), -min(math.prod(sizes[a] for a in key), rows)),
+    )
 
 
 def _blockset(relation: Relation, blk: np.ndarray, pos: np.ndarray) -> BlockSet:
@@ -283,10 +315,11 @@ def _maximal_only(blk: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray,
     starts = _starts(blk)
     sizes = np.diff(starts, append=len(pos))
     # each block's members, rarest first
-    ranked = pos[np.argsort(blk * (int(count.max()) + 1) + count[pos])]
+    ranks = int(count.max()) + 1
+    ranked = pos[_order(blk * ranks + count[pos], len(starts) * ranks)]
     rare = ranked[starts]
     # inverted index: the blocks on each row, ascending, row after row
-    on_row = blk[np.argsort(pos, kind="stable")]
+    on_row = blk[_order(pos, n)]
     row_start = np.cumsum(count) - count
     # the state's (block, row) pairs as sorted keys, and a sentinel past them
     key = np.append(blk * n + pos, len(starts) * n)
@@ -321,8 +354,9 @@ def violating_blocks(relation: Relation, ks: KeySet) -> BlockSet:
     """Violating rows grouped into blocks, reporting maximal blocks only.
 
     The relation satisfies ``ks`` iff the result is empty. Refines the
-    keys with the fewest missing cells first; the maximal blocks are the
-    same in every order (see the module docstring). Use
+    keys with the fewest missing cells first, and among those the keys
+    with the most distinct values; the maximal blocks are the same in
+    every order (see the module docstring). Use
     :func:`block_trace` for the raw per-key states, in canonical order.
     """
     _check_fits(relation, ks)

@@ -11,6 +11,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -335,6 +336,9 @@ def test_refinement_order_does_not_change_the_answer(pair):
 
 
 def test_total_relation_refines_in_canonical_order(monkeypatch):
+    """The tie case: every column of a total relation has 4 values, so keys
+    of one size tie on distinct values, and in these key sets the one
+    larger key also comes first in canonical order."""
     schema = Schema(tuple(f"a{i}" for i in range(8)))
     rel = synthetic_relation(schema, 300, 0.0, seed=2)
     runs = _spy_refine(monkeypatch)
@@ -366,28 +370,99 @@ def test_fewest_missing_first_cuts_the_refinement_work(monkeypatch):
     assert runs[2][0] == [*sorted(family[2].sorted_keys[1:], key=lambda k: nulls[min(k)]), frozenset({0, 1, 2})]
 
 
-def test_wide_key_overflows_to_the_stable_sort(monkeypatch):
+def _graded_relation() -> Relation:
+    """300 total rows over columns of 2, 5, 50 and 300 drawn values (189
+    distinct in the last); the last 6 rows repeat the first 6."""
+    rng = random.Random(5)
+    schema = Schema(tuple(f"a{i}" for i in range(4)))
+    rows = [tuple(str(rng.randrange(c)) for c in (2, 5, 50, 300)) for _ in range(294)]
+    return Relation.from_values(schema, rows + rows[:6])
+
+
+def test_total_relation_refines_most_distinct_first(monkeypatch):
+    rel = _graded_relation()
+    assert [len(d) for d in rel.dictionaries] == [2, 5, 50, 189]
+    runs = _spy_refine(monkeypatch)
+    cases = zip(
+        [*gen_sequential_keysets(rel.schema), KeySet.of({2, 3}, {1, 3})],
+        [
+            [{3}, {2}, {1}, {0}],
+            [{3}, {2}, {0, 1}],
+            # 2 * 5 * 50 = 500 value combinations, capped at 300 rows
+            [{0, 1, 2}, {3}],
+            [{0, 1, 2, 3}],
+            # 945 and 9,450 combinations tie at the cap and keep canonical order
+            [{1, 3}, {2, 3}],
+        ],
+    )
+    for ks, order in cases:
+        runs.clear()
+        violating_blocks(rel, ks)
+        satisfies(rel, ks)
+        assert [keys for keys, _ in runs] == [order] * 2
+
+
+def test_most_distinct_first_cuts_the_refinement_work(monkeypatch):
+    """Rows summed over every refinement state of X_1..X_4 on the graded
+    relation: block_trace refines in canonical order, violating_blocks
+    most distinct first. Both counts are exact pins of the work."""
+    rel = _graded_relation()
+    family = gen_sequential_keysets(rel.schema)
+    runs = _spy_refine(monkeypatch)
+    for ks in family:
+        block_trace(rel, ks)
+    canonical = sum(rows for _, rows in runs)
+    runs.clear()
+    blocks = [violating_blocks(rel, ks) for ks in family]
+    work = sum(rows for _, rows in runs)
+    assert work == 647 < canonical == 1_383
+    # the planted duplicates are the only violations
+    assert all(len(b) == 6 for b in blocks)
+
+
+@given(st.data())
+def test_order_is_the_stable_argsort(data):
+    """``_order`` on both routes: packed when ``bound`` leaves room for the
+    index bits, the stable argsort when it is above that room. Keys come
+    from a few values below ``bound``, so ties are common."""
+    m = data.draw(st.integers(1, 300))
+    room = 1 << (63 - m.bit_length())
+    bound = data.draw(st.one_of(st.just(room), st.integers(room + 1, 2 * room), st.integers(room + 1, 1 << 63)))
+    values = data.draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=8))
+    key = np.array(data.draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)), dtype=np.int64)
+    assert np.array_equal(validation._order(key, bound), np.argsort(key, kind="stable"))
+
+
+def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
     """A 12-column key over about 330 distinct values per column: the
-    class key would pass 2**62 at the eighth column, so ``_split``
-    re-densifies it there, and that ``_dense`` call's bound times its row
-    count passes 2**63, so it takes the stable-sort route. 400 random
-    rows with 10% missing cells, plus the first 20 again."""
+    class key outgrows the room ``_order`` needs for its index bits, so
+    ``_split`` re-densifies it twice before the final sort, and every
+    ``_order`` call packs. 400 random rows with 10% missing cells, plus
+    the first 20 again."""
     rng = random.Random(3)
     schema = Schema(tuple(f"a{i}" for i in range(12)))
     rows = [tuple(None if rng.random() < 0.1 else str(rng.randrange(2000)) for _ in range(12)) for _ in range(400)]
     rel = Relation.from_values(schema, rows + rows[:20])
     ks = KeySet.of(set(range(12)))
-    wide = []
-    dense = validation._dense
+    dense_calls, packed = [], []
+    dense, order = validation._dense, validation._order
 
-    def spy(key, bound):
-        wide.append(bound * len(key) >= 1 << 63)
+    def spy_dense(key, bound):
+        dense_calls[-1] += 1
         return dense(key, bound)
 
-    monkeypatch.setattr(validation, "_dense", spy)
+    def spy_order(key, bound):
+        packed.append(bound <= 1 << (63 - len(key).bit_length()))
+        return order(key, bound)
+
+    monkeypatch.setattr(validation, "_dense", spy_dense)
+    monkeypatch.setattr(validation, "_order", spy_order)
     expected = violating_tuples_naive(rel, ks)
     assert expected
-    assert violating_blocks(rel, ks).row_ids == expected
-    assert not satisfies(rel, ks)
-    # per route: the re-densify, on the stable sort, then the final sort
-    assert wide == [True, False, True, False]
+    for route, check in ((violating_blocks, lambda b: b.row_ids == expected), (satisfies, lambda ok: not ok)):
+        dense_calls.append(0)
+        assert check(route(rel, ks))
+    # per route: two re-densifies, then the final sort
+    assert dense_calls == [3, 3]
+    # the four _split sorts per route, and the maximal-block filter's two
+    assert len(packed) == 10 and all(packed)
