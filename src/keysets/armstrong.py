@@ -217,7 +217,9 @@ def is_armstrong_unary(relation: Relation, sigma: Sequence[KeySet]) -> bool:
     past :data:`TRANSVERSAL_CAP`.
     """
     transversals = anti_keys(sigma, relation.schema).transversals
-    codes = relation.codes
+    # one row-major copy: packbits views each row's bits as one record,
+    # which needs the rows contiguous
+    codes = np.ascontiguousarray(relation.codes)
     patterns: set[bytes] = set()
     for i in range(len(codes) - 1):
         # row i's distinct differences from later rows: both present, codes differ

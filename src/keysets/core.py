@@ -171,13 +171,15 @@ class Row:
 class Relation:
     """A bag of rows over a schema, stored column-encoded.
 
-    ``codes`` is a read-only int32 ``(rows, width)`` matrix: each column's
-    distinct strings get dense codes ``0, 1, ...`` in order of first
-    appearance, listed in ``dictionaries[column]``, and a missing value is
-    ``-1``. ``row_ids`` (read-only) makes duplicate rows distinct. Build
-    relations with :meth:`from_values` or ``load_csv``, which share one
-    encoder; copies and unpickled relations go through the constructor,
-    which sets both arrays read-only.
+    ``codes`` is a read-only, column-major int32 ``(rows, width)``
+    matrix: each column's distinct strings get dense codes ``0, 1, ...``
+    in order of first appearance, listed in ``dictionaries[column]``, and
+    a missing value is ``-1``. Each column is contiguous, so validation
+    reads a key column without striding across rows. ``row_ids``
+    (read-only) makes duplicate rows distinct. Build relations with
+    :meth:`from_values` or ``load_csv``, which share one encoder; copies
+    and unpickled relations go through the constructor, which makes any
+    matrix column-major and sets both arrays read-only.
     """
 
     schema: Schema
@@ -186,6 +188,7 @@ class Relation:
     row_ids: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "codes", np.asfortranarray(self.codes))
         self.codes.flags.writeable = self.row_ids.flags.writeable = False
 
     def __reduce__(self):
@@ -235,8 +238,9 @@ class Relation:
             flat += map(code.__getitem__, column)
             dictionaries.append(tuple(kept))
         # one conversion for all columns; per-column array writes cost more
-        # than the encoding itself on a two-row witness
-        codes = np.fromiter(flat, np.int32, len(flat)).reshape(len(dictionaries), len(row_ids)).T.copy()
+        # than the encoding itself on a two-row witness. The transpose of
+        # the column-by-column buffer is already column-major.
+        codes = np.fromiter(flat, np.int32, len(flat)).reshape(len(dictionaries), len(row_ids)).T
         return cls(schema, codes, tuple(dictionaries), row_ids)
 
     @cached_property

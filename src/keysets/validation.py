@@ -13,13 +13,18 @@ Two independent routes compute which rows take part in a violation:
   can match anything. Each key is one round of numpy sorting and grouping
   over the relation's integer codes (:attr:`Relation.codes`), so the run
   time is linear in rows times total key size, up to the sort's log factor,
-  for bounded block overlap. Every sort of a class or row key packs the
-  key with its index below it into one int64 and runs a plain
-  ``np.sort``, about three times faster than ``np.argsort``; the class
-  key is re-densified whenever the next column would leave too little
-  room for the index bits. The one fallback, a stable ``np.argsort``, runs
-  only when a key still does not pack, which on a total relation takes
-  2**21 rows and columns of as many values (:func:`_order`).
+  for bounded block overlap. Each key column is gathered from its
+  contiguous column of the column-major code matrix. Every sort of a
+  class or row key packs the key with its index below it into one int64
+  and runs a plain ``np.sort``, about three times faster than
+  ``np.argsort``; the class key is re-densified whenever the next column
+  would leave too little room for the index bits. The one fallback, a
+  stable ``np.argsort``, runs only when a key still does not pack, which
+  on a total relation takes 2**21 rows and columns of as many values
+  (:func:`_order`). Each round sorts its class key once and reads the
+  new blocks off the sorted values: a member stays when it equals a
+  neighbour, which drops the singleton classes, and the changes of value
+  among the members kept number the blocks.
   :func:`block_trace` and :func:`satisfies` run the same refinement loop;
   ``satisfies`` stops at the first empty state. A state holding more
   than :data:`BLOCK_ROW_CAP` row copies raises
@@ -201,13 +206,24 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
     when ``overlap`` (the input state has a row in two blocks) or some
     member is incomplete on the key; the returned flag says whether the
     new state overlaps.
+
+    Each key column is gathered from its contiguous column of ``codes``.
+    The class key is sorted once, and the classes are read off the sorted
+    values: a member is kept when it equals a neighbour, and the kept
+    members' changes of value number the new blocks. Only when some member
+    is incomplete are classes numbered for every member, since each copy
+    of an incomplete row needs the number of the class it joins.
     """
     n = len(codes)
     nblocks = int(blk[-1]) + 1
-    sub = [codes[pos, c] for c in cols]
+    sub = [codes[:, c][pos] for c in cols]
     total = np.logical_and.reduce([s >= 0 for s in sub])
     all_total = total.all()
-    t_blk, t_pos, sub = (blk, pos, sub) if all_total else (blk[total], pos[total], [s[total] for s in sub])
+    if all_total:
+        t_blk, t_pos = blk, pos
+    else:
+        t = np.flatnonzero(total)
+        t_blk, t_pos, sub = blk[t], pos[t], [s[t] for s in sub]
     # class key: block id, then each key column, in mixed radix; re-densify
     # whenever the next step would leave no room for _order's index bits
     key, bound = t_blk.astype(np.int64), nblocks
@@ -222,11 +238,14 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
         key = key * card + s
         bound *= card
     # the stable sort keeps rows ascending inside each class
-    order, cls = _dense(key, bound)
-    new_pos = t_pos[order]
+    order = _order(key, bound)
+    key, new_pos = key[order], t_pos[order]
     if not all_total:
-        per_block = np.bincount(t_blk[order[_change(cls)]], minlength=nblocks)
-        i_blk, i_pos = blk[~total], pos[~total]
+        start = _change(key)
+        cls = np.cumsum(start) - 1
+        per_block = np.bincount(t_blk[order[start]], minlength=nblocks)
+        i = np.flatnonzero(~total)
+        i_blk, i_pos = blk[i], pos[i]
         copies = per_block[i_blk]
         class_start = np.cumsum(per_block) - per_block
         c_cls = np.repeat(class_start[i_blk], copies) + _within(copies)
@@ -238,10 +257,14 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
         cls = np.concatenate((cls, c_cls, o_cls))
         new_pos = np.concatenate((new_pos, np.repeat(i_pos, copies), i_pos[orphan]))
         order = _order(cls * n + new_pos, (int(cls.max()) + 1) * n)
-        cls, new_pos = cls[order], new_pos[order]
-    keep = np.bincount(cls) >= 2
-    member = keep[cls]
-    blk, pos = (np.cumsum(keep) - 1)[cls[member]], new_pos[member]
+        key, new_pos = cls[order], new_pos[order]
+    # a class of two or more rows is a run of equal neighbours
+    same = key[1:] == key[:-1]
+    kept = np.zeros(len(key), dtype=bool)
+    kept[1:] = same
+    kept[:-1] |= same
+    kept = np.flatnonzero(kept)
+    blk, pos = np.cumsum(_change(key[kept])) - 1, new_pos[kept]
     if overlap or not all_total:
         seen = np.zeros(n, dtype=bool)
         seen[pos] = True

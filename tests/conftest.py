@@ -16,6 +16,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -542,6 +543,20 @@ def null_heavy_relation_keyset_st(draw, max_width=5, max_rows=14, max_keys=4, ma
 
 
 # --------------------------------------------------------------------------
+# The numpy version, which criterion 12's ratio and the 2,000-row time
+# bound depend on through numpy's sort. pytest shows the header only at
+# default verbosity or above, so a -q run prints it in the summary.
+
+
+def _numpy_line() -> str:
+    return f"numpy {np.__version__}"
+
+
+def pytest_report_header(config):
+    return _numpy_line()
+
+
+# --------------------------------------------------------------------------
 # One summary line per acceptance criterion.
 
 _acceptance: dict[str, tuple[str, str]] = {}
@@ -567,6 +582,8 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter):
+    if terminalreporter.verbosity < 0:
+        terminalreporter.write_line(_numpy_line())
     if not _acceptance:
         return
     terminalreporter.write_sep("-", "acceptance criteria")

@@ -24,11 +24,13 @@ from keysets import (
     ResourceLimit,
     Row,
     Schema,
+    block_trace,
     derive_keyset,
     format_attr_set,
     format_derivation,
     format_keyset,
     format_schema,
+    is_armstrong_unary,
     load_csv,
     pair_separated_by,
     pair_violates,
@@ -36,6 +38,9 @@ from keysets import (
     parse_keyset,
     parse_keyset_lines,
     parse_schema,
+    satisfies,
+    violating_blocks,
+    violating_tuples_naive,
     write_csv,
 )
 from keysets.core import attr_sort_key, format_attr_name
@@ -156,6 +161,7 @@ def test_relation_codes(ward, ward_schema):
     assert_codes_encode(ward, WARD_ROWS, (1, 2, 3, 4))
     assert ward.codes[:, 0].tolist() == [0, -1, 1, 0]
     assert ward.codes is ward.codes
+    assert ward.codes.flags.f_contiguous
     assert not ward.codes.flags.writeable
     assert not ward.row_ids.flags.writeable
     with pytest.raises(ValueError):
@@ -164,18 +170,49 @@ def test_relation_codes(ward, ward_schema):
     # same schema, row ids and dictionaries; only the codes differ
     one, other = (Relation.from_values(Schema.of("c"), [("0",), ("1",), (v,)]) for v in "01")
     assert one.dictionaries == other.dictionaries and one != other
+    # load_csv shares the encoder, so it stores column-major codes too
+    buf = io.StringIO()
+    write_csv(ward, buf)
+    buf.seek(0)
+    read = load_csv(buf)
+    assert read.codes.flags.f_contiguous and not read.codes.flags.writeable
 
 
-def test_relation_copies_stay_read_only(ward):
-    ward.rows  # a cached view must not leak into the copies
-    for again in (pickle.loads(pickle.dumps(ward)), copy.copy(ward), copy.deepcopy(ward)):
+def _answers(rel: Relation, sigma: list[KeySet]) -> tuple:
+    """Everything a relation answers that reads its codes."""
+    buf = io.StringIO()
+    write_csv(rel, buf)
+    checks = [
+        (violating_blocks(rel, ks), satisfies(rel, ks), block_trace(rel, ks), violating_tuples_naive(rel, ks))
+        for ks in sigma
+    ]
+    return rel.rows, rel.null_counts, buf.getvalue(), checks, is_armstrong_unary(rel, sigma)
+
+
+def test_relation_copies_stay_read_only(ward, ward_schema, x1):
+    """Copies, and a relation built from a row-major matrix, keep
+    column-major, read-only codes, and answer exactly as the original."""
+    sigma = [x1, parse_keyset("{{room,time}}", ward_schema)]
+    assert not satisfies(ward, sigma[1])
+    # this caches ward.rows, which must not leak into the copies
+    expected = _answers(ward, sigma)
+    row_major = np.ascontiguousarray(ward.codes)
+    assert not row_major.flags.f_contiguous
+    copies = (
+        pickle.loads(pickle.dumps(ward)),
+        copy.copy(ward),
+        copy.deepcopy(ward),
+        Relation(ward.schema, row_major, ward.dictionaries, ward.row_ids),
+    )
+    for again in copies:
         assert type(again) is Relation
+        assert again.codes.flags.f_contiguous
         assert not again.codes.flags.writeable
         assert not again.row_ids.flags.writeable
         with pytest.raises(ValueError):
             again.codes[0, 0] = 5
         assert again == ward and hash(again) == hash(ward)
-        assert again.rows == ward.rows
+        assert _answers(again, sigma) == expected
 
 
 @given(st.data())
@@ -189,6 +226,9 @@ def test_relation_codes_random(data):
     # value equality, with a hash consistent with it
     same = Relation.from_values(schema, [list(v) for v in values], row_ids=tuple(row_ids))
     assert rel == same and hash(rel) == hash(same)
+    row_major = Relation(schema, np.ascontiguousarray(rel.codes), rel.dictionaries, rel.row_ids)
+    assert row_major.codes.flags.f_contiguous
+    assert row_major == rel and hash(row_major) == hash(rel) and row_major.rows == rel.rows
     if values:
         assert rel != Relation.from_values(schema, values, row_ids=[i + 100 for i in row_ids])
         edited = [("9",) + tuple(values[0][1:]), *values[1:]]

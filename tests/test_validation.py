@@ -7,9 +7,11 @@ ward and hospital snapshots were worked out by hand from the pair
 semantics before being frozen here.
 """
 
+import contextlib
 import itertools
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -219,15 +221,47 @@ _WIDE_PAIR = (
 )
 
 
+def _total(*columns: str, keys):
+    """A total relation whose column ``j`` reads ``columns[j]``, one
+    character a cell, under row ids counting down from 20."""
+    schema = Schema(tuple(f"c{j}" for j in range(len(columns))))
+    rows = list(zip(*columns))
+    return Relation.from_values(schema, rows, row_ids=range(20, 20 - len(rows), -1)), KeySet.of(*keys)
+
+
+# Codes follow first appearance, so on {c0} the sorted state reads
+# 0 0 1 2 3 4 4: a two-row class first and another last, singletons
+# between; {c1} then keeps both classes whole.
+_EDGE_CLASSES = _total("abcdeae", "xxxxxxx", keys=({0}, {1}))
+# every class a singleton: the state empties and the key set holds
+_SINGLETONS = _total("abcdef", "aabbcc", keys=({0, 1}, {1}))
+# one class holding every row, key after key
+_ONE_CLASS = _total("aaaaa", "bbbbb", keys=({0}, {0, 1}))
+
+_ORDER = validation._order
+
+
+def _argsort_order(key, bound):
+    """``_order`` forced onto its stable-argsort fallback, which a real key
+    reaches only from 2**21 rows."""
+    return _ORDER(key, 1 << 63)
+
+
 @settings(max_examples=200)
-@given(null_heavy_relation_keyset_st())
-@example(_WIDE_PAIR)
-def test_block_trace_matches_row_refinement(pair):
+@given(null_heavy_relation_keyset_st(), st.booleans())
+@example(_WIDE_PAIR, False)
+@example(_EDGE_CLASSES, False)
+@example(_SINGLETONS, False)
+@example(_ONE_CLASS, False)
+@example(_EDGE_CLASSES, True)
+def test_block_trace_matches_row_refinement(pair, fallback):
     """Every per-key state of the code-based refinement equals the
-    row-by-row reference, under heavy nulls and arbitrary row ids."""
+    row-by-row reference, under heavy nulls and arbitrary row ids; with
+    ``fallback``, every sort takes ``_order``'s stable-argsort route."""
     rel, ks = pair
-    assert block_trace(rel, ks) == reference_block_trace(rel, ks)
-    assert_routes_agree(rel, ks)
+    with mock.patch.object(validation, "_order", _argsort_order) if fallback else contextlib.nullcontext():
+        assert block_trace(rel, ks) == reference_block_trace(rel, ks)
+        assert_routes_agree(rel, ks)
 
 
 # --------------------------------------------------------------------------
@@ -433,15 +467,14 @@ def test_order_is_the_stable_argsort(data):
     assert np.array_equal(validation._order(key, bound), np.argsort(key, kind="stable"))
 
 
-def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
-    """A 12-column key over about 330 distinct values per column: the
-    class key outgrows the room ``_order`` needs for its index bits, so
-    ``_split`` re-densifies it twice before the final sort, and every
-    ``_order`` call packs. 400 random rows with 10% missing cells, plus
-    the first 20 again."""
+def _wide_key_sorts(monkeypatch, missing: float) -> tuple[list[int], list[bool]]:
+    """Validate a 12-column key over about 330 distinct values per column
+    with both routes: 400 random rows, each cell missing with probability
+    ``missing``, plus the first 20 again. Returns the ``_dense`` calls per
+    route, and whether each ``_order`` call packed."""
     rng = random.Random(3)
     schema = Schema(tuple(f"a{i}" for i in range(12)))
-    rows = [tuple(None if rng.random() < 0.1 else str(rng.randrange(2000)) for _ in range(12)) for _ in range(400)]
+    rows = [tuple(None if rng.random() < missing else str(rng.randrange(2000)) for _ in range(12)) for _ in range(400)]
     rel = Relation.from_values(schema, rows + rows[:20])
     ks = KeySet.of(set(range(12)))
     dense_calls, packed = [], []
@@ -462,7 +495,26 @@ def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
     for route, check in ((violating_blocks, lambda b: b.row_ids == expected), (satisfies, lambda ok: not ok)):
         dense_calls.append(0)
         assert check(route(rel, ks))
-    # per route: two re-densifies, then the final sort
-    assert dense_calls == [3, 3]
-    # the four _split sorts per route, and the maximal-block filter's two
+    return dense_calls, packed
+
+
+def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
+    """With 10% missing cells the class key outgrows the room ``_order``
+    needs for its index bits, so ``_split`` re-densifies it twice per
+    route, and every ``_order`` call packs."""
+    dense_calls, packed = _wide_key_sorts(monkeypatch, 0.1)
+    # per route: two re-densifies; the final sort calls _order directly
+    assert dense_calls == [2, 2]
+    # per route, _split's two re-densifies, its final sort and its merge
+    # of the incomplete rows' copies; and the maximal-block filter's two
     assert len(packed) == 10 and all(packed)
+
+
+def test_total_wide_key_re_densifies_and_stays_packed(monkeypatch):
+    """The same key over a total relation: two re-densifies per route,
+    and every ``_order`` call packs."""
+    dense_calls, packed = _wide_key_sorts(monkeypatch, 0.0)
+    assert dense_calls == [2, 2]
+    # per route, the two re-densifies and the final sort; no row is in
+    # two blocks, so the maximal-block filter sorts nothing
+    assert len(packed) == 6 and all(packed)
