@@ -57,13 +57,13 @@ def main():
     print(f"\nall-pairs route: violating rows {sorted(naive)}")
     print(f"block route:     violating rows {sorted(blocks.row_ids)} in "
           f"{len(blocks)} maximal blocks")
-    for block in blocks:
-        print(f"  rows {sorted(block)} are mutually indistinguishable on every key")
+    for block in sorted(sorted(b) for b in blocks):
+        print(f"  rows {block} are mutually indistinguishable on every key")
 
     two_keys = parse_keyset("{{room,time},{injury,time}}", ward.schema)
     print("\nhow the block route narrows {{room,time},{injury,time}} down, key by key:")
     for step, state in enumerate(block_trace(ward, two_keys)):
-        groups = [sorted(b) for b in state]
+        groups = sorted(sorted(b) for b in state)
         print(f"  after key {step + 1}: candidate blocks {groups if groups else 'none left'}")
 
 

@@ -41,8 +41,6 @@ from .core import (
     format_attr_set,
     format_keyset,
     format_schema,
-    pair_separated_by,
-    pair_violates,
     parse_attr_set,
     parse_keyset,
     parse_keyset_lines,

@@ -110,7 +110,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             blocks = violating_blocks(relation, ks)
             entry["satisfied"] = not blocks
             entry["violating_row_ids"] = sorted(blocks.row_ids)
-            entry["blocks"] = [sorted(b) for b in blocks]
+            entry["blocks"] = sorted(sorted(b) for b in blocks)
         all_ok = all_ok and entry["satisfied"]
         results.append(entry)
     if args.report == "json":

@@ -40,8 +40,6 @@ __all__ = [
     "format_attr_set",
     "format_keyset",
     "format_schema",
-    "pair_separated_by",
-    "pair_violates",
     "parse_attr_set",
     "parse_keyset",
     "parse_keyset_lines",
@@ -254,10 +252,6 @@ class Relation:
         """Missing cells per column, counted on first use, not at ingest."""
         return tuple(np.count_nonzero(self.codes < 0, axis=0).tolist())
 
-    @cached_property
-    def by_id(self) -> dict[int, Row]:
-        return {row.row_id: row for row in self.rows}
-
     def _key(self) -> tuple:
         # codes follow first appearance, so equal keys mean equal rows
         return (self.schema, self.dictionaries, self.row_ids.tobytes(), self.codes.tobytes())
@@ -270,30 +264,6 @@ class Relation:
 
     def __len__(self) -> int:
         return len(self.row_ids)
-
-
-def pair_separated_by(t: Row, t2: Row, attrs: AttrSet) -> bool:
-    """True iff both rows are total on ``attrs`` and differ somewhere on it.
-
-    The empty attribute set never separates anything: both rows are
-    vacuously total on it but cannot differ on it.
-    """
-    vs, vs2 = t.values, t2.values
-    diff = False
-    for a in attrs:
-        v, v2 = vs[a], vs2[a]
-        if v is None or v2 is None:
-            return False
-        if v != v2:
-            diff = True
-    return diff
-
-
-def pair_violates(t: Row, t2: Row, ks: KeySet) -> bool:
-    """True iff no key of ``ks`` separates the two distinct rows."""
-    if t.row_id == t2.row_id:
-        raise ValueError("pair_violates needs two distinct rows")
-    return not any(pair_separated_by(t, t2, key) for key in ks.keys)
 
 
 # --------------------------------------------------------------------------
@@ -326,7 +296,9 @@ class ResourceLimit(RuntimeError):
     ``size`` is how large it got and ``cap`` is the most allowed."""
 
     def __init__(self, limit: str, size: int, cap: int):
-        super().__init__(f"{limit} has {size} elements, cap is {cap}")
+        # a size past int's decimal-string limit is shown as a power of two
+        shown = size if size < 1 << 4096 else f"2**{size.bit_length() - 1} or more"
+        super().__init__(f"{limit} has {shown} elements, cap is {cap}")
         self.limit = limit
         self.size = size
         self.cap = cap

@@ -364,8 +364,15 @@ def _occurring(formula: CnfFormula) -> list[str]:
 
 
 def satisfiable(formula: CnfFormula) -> bool:
-    """Truth-table satisfiability over the variables that actually occur."""
+    """Truth-table satisfiability over the variables that actually occur.
+
+    The table has ``2**k`` assignments for ``k`` occurring variables; when
+    that exceeds :data:`CHOICE_CAP` it raises :class:`ResourceLimit` before
+    enumerating any.
+    """
     used = _occurring(formula)
+    if 2 ** len(used) > CHOICE_CAP:
+        raise ResourceLimit("truth-table assignments", 2 ** len(used), CHOICE_CAP)
     for values in itertools.product((False, True), repeat=len(used)):
         assignment = dict(zip(used, values))
         if all(any(assignment[var] == pos for var, pos in clause) for clause in formula.clauses):

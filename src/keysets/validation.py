@@ -42,7 +42,7 @@ Two independent routes compute which rows take part in a violation:
   and its incomplete members join every class, and every block is such a
   set or inside one. So the final state's maximal blocks, and
   whether it is empty, are the same in every order. :func:`block_trace`
-  reports its per-key states in canonical order.
+  refines in canonical key order.
 
   The final state then keeps only its maximal blocks. When no row is in
   two blocks every block is maximal and the filter returns at once.
@@ -55,7 +55,7 @@ Both routes read ``Relation.codes``, the relation's storage, which
 :meth:`Relation.from_values` (and so ``load_csv``) builds at ingest;
 row positions map to ids through ``Relation.row_ids``.
 
-The union of the returned blocks always equals the naive violating set.
+The blocks come unordered; their union always equals the naive violating set.
 """
 
 from __future__ import annotations
@@ -87,13 +87,12 @@ _PAIR_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class BlockSet:
-    """Groups of row ids that jointly violate a key set; each has size >= 2."""
+    """Unordered groups of row ids that jointly violate a key set; each has size >= 2."""
 
-    blocks: tuple[frozenset[int], ...]
+    blocks: frozenset[frozenset[int]]
 
     def __post_init__(self) -> None:
-        canon = sorted(set(self.blocks), key=lambda b: tuple(sorted(b)))
-        object.__setattr__(self, "blocks", tuple(canon))
+        object.__setattr__(self, "blocks", frozenset(self.blocks))
 
     @property
     def row_ids(self) -> frozenset[int]:
@@ -174,7 +173,7 @@ def _merge_identical(blk: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.n
     Blocks with the same size and membership hash are candidates; each is
     compared member by member with the first block of its run, so no two
     different blocks are ever merged. (A hash collision can only leave a
-    duplicate in place, and :class:`BlockSet` removes those.)
+    duplicate in place, and :class:`BlockSet`'s frozenset drops it.)
     """
     starts = _starts(blk)
     sizes = np.diff(starts, append=len(pos))
@@ -305,7 +304,7 @@ def _blockset(relation: Relation, blk: np.ndarray, pos: np.ndarray) -> BlockSet:
     """Map a state's row positions back to row ids."""
     ids = relation.row_ids[pos].tolist()
     bounds = [*_starts(blk).tolist(), len(ids)]
-    return BlockSet(tuple(frozenset(ids[a:b]) for a, b in zip(bounds, bounds[1:])))
+    return BlockSet(frozenset(frozenset(ids[a:b]) for a, b in zip(bounds, bounds[1:])))
 
 
 def block_trace(relation: Relation, ks: KeySet) -> list[BlockSet]:
@@ -328,9 +327,9 @@ def _maximal_only(blk: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray,
     blocks on that row whose row signature covers ``b``'s. Each round then
     looks up the next member of ``b``, rarest first, in every live pair's
     larger block; a pair ends at its first miss or once every member was
-    found. Pairs are made a chunk of candidates at a time. Equal blocks
-    never drop each other (only a hash collision in
-    :func:`_merge_identical` leaves any, and :class:`BlockSet` merges them).
+    found. Pairs are made a chunk of candidates at a time. Equal blocks never
+    drop each other: only a hash collision in :func:`_merge_identical` leaves
+    any, and :class:`BlockSet`'s frozenset drops them.
     """
     count = np.bincount(pos, minlength=n)
     if count.max(initial=0) < 2:
@@ -380,7 +379,7 @@ def violating_blocks(relation: Relation, ks: KeySet) -> BlockSet:
     keys with the fewest missing cells first, and among those the keys
     with the most distinct values; the maximal blocks are the same in
     every order (see the module docstring). Use
-    :func:`block_trace` for the raw per-key states, in canonical order.
+    :func:`block_trace` for the raw per-key states, in canonical key order.
     """
     _check_fits(relation, ks)
     for state in _refine(relation, _fewest_missing_first(relation, ks)):

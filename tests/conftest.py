@@ -182,6 +182,36 @@ def union_rel(abcd_schema) -> Relation:
 # Helpers importable via ``from conftest import ...``.
 
 
+def by_id(relation: Relation) -> dict[int, Row]:
+    """The relation's rows keyed by row id."""
+    return {row.row_id: row for row in relation.rows}
+
+
+def pair_separated_by(t: Row, t2: Row, attrs: frozenset[int]) -> bool:
+    """True iff both rows are total on ``attrs`` and differ somewhere on it
+    (the definitional oracle for separation).
+
+    The empty attribute set never separates anything: both rows are
+    vacuously total on it but cannot differ on it.
+    """
+    vs, vs2 = t.values, t2.values
+    diff = False
+    for a in attrs:
+        v, v2 = vs[a], vs2[a]
+        if v is None or v2 is None:
+            return False
+        if v != v2:
+            diff = True
+    return diff
+
+
+def pair_violates(t: Row, t2: Row, ks: KeySet) -> bool:
+    """True iff no key of ``ks`` separates the two distinct rows."""
+    if t.row_id == t2.row_id:
+        raise ValueError("pair_violates needs two distinct rows")
+    return not any(pair_separated_by(t, t2, key) for key in ks.keys)
+
+
 def pair_state(row, row2) -> tuple[str, ...]:
     """Per-attribute state of a row pair: equal / differ / partial.
 
@@ -411,7 +441,7 @@ def reference_block_trace(relation: Relation, ks: KeySet) -> list[BlockSet]:
     return trace
 
 
-def reference_maximal_only(blocks: tuple[frozenset[int], ...]) -> tuple[frozenset[int], ...]:
+def reference_maximal_only(blocks: frozenset[frozenset[int]]) -> frozenset[frozenset[int]]:
     """The blocks that no other block strictly contains, by comparing each
     block with every kept one, largest first (the oracle for the filter in
     ``violating_blocks``)."""
@@ -421,7 +451,7 @@ def reference_maximal_only(blocks: tuple[frozenset[int], ...]) -> tuple[frozense
     for b in sorted(set(blocks), key=len, reverse=True):
         if not any(b < other for other in kept):
             kept.append(b)
-    return tuple(kept)
+    return frozenset(kept)
 
 
 # --------------------------------------------------------------------------

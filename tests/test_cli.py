@@ -110,6 +110,38 @@ def test_validate_json_report(ward_csv, capsys):
     assert entry["blocks"] == [[0, 1], [1, 2], [1, 3]]
 
 
+# Six rows, mostly incomplete: under {{a},{b,c}} its three maximal blocks
+# iterate out of canonical order, so the printers must sort them.
+NULL_HEAVY_CSV = "a,b,c\ny,?,x\nx,x,?\nx,y,x\nx,?,?\nx,y,x\n?,x,x\n"
+NULL_HEAVY_BLOCKS = [[0, 5], [1, 2, 3, 4], [1, 3, 5]]
+
+
+def test_validate_prints_blocks_in_canonical_order(tmp_path, capsys):
+    data = tmp_path / "nullheavy.csv"
+    data.write_text(NULL_HEAVY_CSV, encoding="utf-8")
+    relation = load_csv(str(data))
+    ks = parse_keyset("{{a},{b,c}}", relation.schema)
+    assert [sorted(b) for b in violating_blocks(relation, ks)] != NULL_HEAVY_BLOCKS
+    base = ["validate", "--data", str(data), "--keyset", "{{a},{b,c}}"]
+    assert run_cli(base) == 1
+    assert capsys.readouterr().out == (
+        "{{a},{b,c}}: violated\n"
+        "  violating rows: 0 1 2 3 4 5\n"
+        "  block: 0 5\n"
+        "  block: 1 2 3 4\n"
+        "  block: 1 3 5\n"
+    )
+    assert run_cli(base + ["--report", "json"]) == 1
+    entry = {
+        "keyset": "{{a},{b,c}}",
+        "algo": "linear",
+        "satisfied": False,
+        "violating_row_ids": [0, 1, 2, 3, 4, 5],
+        "blocks": NULL_HEAVY_BLOCKS,
+    }
+    assert capsys.readouterr().out == json.dumps({"data": str(data), "results": [entry]}, indent=2) + "\n"
+
+
 def test_validate_keyset_file(ward_csv, tmp_path, capsys):
     ks_file = tmp_path / "keysets.txt"
     ks_file.write_text("{{room},{time}}\n{{room,time}}\n", encoding="utf-8")

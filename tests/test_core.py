@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CELLS, WARD_ROWS, keysets_st, relations_st
+from conftest import CELLS, WARD_ROWS, by_id, keysets_st, pair_separated_by, pair_violates, relations_st
+import keysets
 from keysets import (
     KeySet,
     ParseError,
@@ -32,8 +33,6 @@ from keysets import (
     format_schema,
     is_armstrong_unary,
     load_csv,
-    pair_separated_by,
-    pair_violates,
     parse_attr_set,
     parse_keyset,
     parse_keyset_lines,
@@ -44,6 +43,81 @@ from keysets import (
     write_csv,
 )
 from keysets.core import attr_sort_key, format_attr_name
+
+# --------------------------------------------------------------------------
+# Public API.
+
+
+def test_public_api_snapshot():
+    """Adding or removing a public name has to edit this list."""
+    assert keysets.__all__ == [
+        "AntiKeyReport",
+        "AttrSet",
+        "BenchReport",
+        "BlockSet",
+        "CnfFormula",
+        "CounterexampleWitness",
+        "DatasetStats",
+        "Decision",
+        "Derivation",
+        "DerivationStep",
+        "Hypergraph",
+        "ImplicationInstance",
+        "IngestConfig",
+        "IngestError",
+        "KeySet",
+        "KeySetFamily",
+        "ParseError",
+        "Relation",
+        "ResourceLimit",
+        "Row",
+        "RuleError",
+        "Schema",
+        "anti_keys",
+        "apply_composition",
+        "apply_refinement",
+        "apply_upward_closure",
+        "armstrong_chain",
+        "block_trace",
+        "build_counterexample",
+        "check_derivation",
+        "dataset_stats",
+        "derive_keyset",
+        "first_invalid_step",
+        "format_attr_set",
+        "format_derivation",
+        "format_keyset",
+        "format_schema",
+        "from_3sat",
+        "gen_random_keyset",
+        "gen_sequential_keysets",
+        "generate_armstrong",
+        "implies",
+        "implies_bruteforce",
+        "implies_unary",
+        "is_armstrong_unary",
+        "load_csv",
+        "minimal_transversals",
+        "parse_attr_set",
+        "parse_derivation",
+        "parse_dimacs",
+        "parse_keyset",
+        "parse_keyset_lines",
+        "parse_schema",
+        "read_schema",
+        "run_bench",
+        "satisfiable",
+        "satisfies",
+        "simulate_nary",
+        "size_bounds",
+        "synthetic_relation",
+        "violating_blocks",
+        "violating_tuples_naive",
+        "violation_percentage",
+        "write_csv",
+    ]
+    assert all(hasattr(keysets, name) for name in keysets.__all__)
+
 
 # --------------------------------------------------------------------------
 # Schema.
@@ -130,7 +204,7 @@ def test_relation_from_values_defaults(ward_schema):
     rel = Relation.from_values(ward_schema, [("1", "a", "b", "c", "d")])
     assert rel.rows[0].row_id == 0
     assert len(rel) == 1
-    assert rel.by_id[0].values == ("1", "a", "b", "c", "d")
+    assert by_id(rel)[0].values == ("1", "a", "b", "c", "d")
 
 
 def test_relation_validation(ward_schema):
@@ -241,11 +315,12 @@ def test_relation_codes_random(data):
 
 
 # --------------------------------------------------------------------------
-# Pair predicates, pinned against the hospital and ward snapshots.
+# The pair oracles in conftest, pinned against the hospital and ward snapshots.
 
 
 def test_pair_separation_hospital(hospital):
-    t1, t2, t3 = hospital.by_id[1], hospital.by_id[2], hospital.by_id[3]
+    rows = by_id(hospital)
+    t1, t2, t3 = rows[1], rows[2], rows[3]
     name_address = frozenset({0, 1})
     assert not pair_separated_by(t1, t2, name_address)  # t2 misses address
     assert pair_separated_by(t1, t2, frozenset({2}))  # injuries differ
@@ -254,25 +329,27 @@ def test_pair_separation_hospital(hospital):
 
 
 def test_empty_attr_set_never_separates(hospital):
-    t1, t3 = hospital.by_id[1], hospital.by_id[3]
+    rows = by_id(hospital)
+    t1, t3 = rows[1], rows[3]
     assert not pair_separated_by(t1, t3, frozenset())
 
 
 def test_is_x_total(hospital):
-    t2 = hospital.by_id[2]
+    t2 = by_id(hospital)[2]
     assert t2.is_total(frozenset({0, 3}))
     assert not t2.is_total(frozenset({0, 1}))
 
 
 def test_pair_violates_ward(ward):
     ks = KeySet.of({0, 4})
-    r1, r2, r3 = ward.by_id[1], ward.by_id[2], ward.by_id[3]
+    rows = by_id(ward)
+    r1, r2, r3 = rows[1], rows[2], rows[3]
     assert pair_violates(r1, r2, ks)
     assert not pair_violates(r1, r3, ks)
 
 
 def test_pair_violates_rejects_same_row(ward):
-    r1 = ward.by_id[1]
+    r1 = by_id(ward)[1]
     with pytest.raises(ValueError, match="distinct rows"):
         pair_violates(r1, r1, KeySet.of({0}))
 

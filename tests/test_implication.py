@@ -565,6 +565,31 @@ def test_satisfiable_small_cases():
     assert satisfiable(parse_dimacs("p cnf 30 1\n1 0\n"))
 
 
+def _unit_clauses(k: int) -> CnfFormula:
+    """``x1 & ... & xk``: only the last assignment of the table satisfies it."""
+    names = tuple(f"x{i}" for i in range(1, k + 1))
+    return CnfFormula(names, tuple(frozenset({(v, True)}) for v in names))
+
+
+def test_satisfiable_caps_the_truth_table():
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimit) as err:
+        satisfiable(_unit_clauses(20))
+    assert time.perf_counter() - started < 0.1
+    assert (err.value.limit, err.value.size, err.value.cap) == ("truth-table assignments", 2**20, CHOICE_CAP)
+    # a size too long to print in decimal still gives a readable message
+    with pytest.raises(ResourceLimit, match=r"has 2\*\*20000 or more elements"):
+        satisfiable(_unit_clauses(20_000))
+
+
+def test_satisfiable_cap_boundary(monkeypatch):
+    monkeypatch.setattr(implication, "CHOICE_CAP", 2**5)
+    assert satisfiable(_unit_clauses(5))
+    with pytest.raises(ResourceLimit) as err:
+        satisfiable(_unit_clauses(6))
+    assert (err.value.size, err.value.cap) == (2**6, 2**5)
+
+
 # --------------------------------------------------------------------------
 # The 3-CNF reduction.
 

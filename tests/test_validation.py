@@ -1,8 +1,8 @@
 """Validation tests: all-pairs scan vs block refinement vs a slow oracle.
 
-The oracle below re-derives the violating set straight from
-``pair_violates`` with no shared code, so the two production routes are
-checked against an independent third implementation. Goldens for the
+The oracle below re-derives the violating set straight from the
+conftest's ``pair_violates`` with no shared code, so the two production
+routes are checked against an independent third implementation. Goldens for the
 ward and hospital snapshots were worked out by hand from the pair
 semantics before being frozen here.
 """
@@ -19,7 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    by_id,
     null_heavy_relation_keyset_st,
+    pair_violates,
     reference_block_trace,
     reference_maximal_only,
     relation_keyset_st,
@@ -32,7 +34,6 @@ from keysets import (
     block_trace,
     gen_random_keyset,
     gen_sequential_keysets,
-    pair_violates,
     parse_keyset,
     satisfies,
     synthetic_relation,
@@ -60,25 +61,28 @@ def assert_routes_agree(relation: Relation, ks: KeySet) -> None:
     assert blocks.row_ids == expected
     assert satisfies(relation, ks) == (not expected)
     # every reported block is an actual clique of violating pairs
-    by_id = relation.by_id
+    rows = by_id(relation)
     for block in blocks:
         ids = sorted(block)
         assert len(ids) >= 2
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
-                assert pair_violates(by_id[a], by_id[b], ks)
+                assert pair_violates(rows[a], rows[b], ks)
     # and no block is subsumed by another
     for block in blocks:
         assert not any(block < other for other in blocks)
 
 
 # --------------------------------------------------------------------------
-# BlockSet canonicalization.
+# BlockSet: an unordered set of blocks.
 
 
-def test_blockset_canonical():
+def test_blockset_is_a_set():
     bs = BlockSet((frozenset({2, 4}), frozenset({1, 2}), frozenset({2, 4})))
-    assert bs.blocks == (frozenset({1, 2}), frozenset({2, 4}))
+    assert bs.blocks == {frozenset({1, 2}), frozenset({2, 4})}
+    assert isinstance(bs.blocks, frozenset)
+    assert bs == BlockSet((frozenset({2, 4}), frozenset({1, 2})))
+    assert bs != BlockSet((frozenset({1, 2}),))
     assert bs.row_ids == frozenset({1, 2, 4})
     assert len(bs) == 2 and bool(bs)
     assert not BlockSet(())
@@ -100,11 +104,11 @@ def test_ward_violated_keyset(ward, ward_schema):
     ks = parse_keyset("{{room,time}}", ward_schema)
     assert not satisfies(ward, ks)
     assert violating_tuples_naive(ward, ks) == frozenset({1, 2, 3, 4})
-    assert violating_blocks(ward, ks).blocks == (
+    assert violating_blocks(ward, ks).blocks == {
         frozenset({1, 2}),
         frozenset({2, 3}),
         frozenset({2, 4}),
-    )
+    }
     assert_routes_agree(ward, ks)
 
 
@@ -115,16 +119,16 @@ def test_ward_violated_keyset(ward, ward_schema):
 def test_hospital_trace(hospital, hospital_trace_ks):
     trace = block_trace(hospital, hospital_trace_ks)
     assert len(trace) == 3
-    assert trace[0].blocks == (frozenset({1, 2}), frozenset({2, 3, 4}))
-    assert trace[1].blocks == (frozenset({2, 4}), frozenset({3, 4}))
-    assert trace[2].blocks == ()
+    assert trace[0].blocks == {frozenset({1, 2}), frozenset({2, 3, 4})}
+    assert trace[1].blocks == {frozenset({2, 4}), frozenset({3, 4})}
+    assert trace[2].blocks == frozenset()
     assert satisfies(hospital, hospital_trace_ks)
     assert not violating_blocks(hospital, hospital_trace_ks)
 
 
 def test_hospital_name_key(hospital, hospital_schema):
     ks = parse_keyset("{{name}}", hospital_schema)
-    assert violating_blocks(hospital, ks).blocks == (frozenset({1, 2}), frozenset({3, 4}))
+    assert violating_blocks(hospital, ks).blocks == {frozenset({1, 2}), frozenset({3, 4})}
     assert_routes_agree(hospital, ks)
 
 
@@ -152,7 +156,7 @@ def test_duplicate_total_rows():
     rel = Relation.from_values(schema, [("1", "2"), ("1", "2"), ("1", "3")])
     ks = KeySet.of({0, 1})
     assert violating_tuples_naive(rel, ks) == frozenset({0, 1})
-    assert violating_blocks(rel, ks).blocks == (frozenset({0, 1}),)
+    assert violating_blocks(rel, ks).blocks == {frozenset({0, 1})}
     assert_routes_agree(rel, ks)
 
 
@@ -160,7 +164,7 @@ def test_all_incomplete_block_survives():
     schema = Schema.of("a", "b")
     rel = Relation.from_values(schema, [(None, "x"), (None, "y")])
     ks = KeySet.of({0})
-    assert violating_blocks(rel, ks).blocks == (frozenset({0, 1}),)
+    assert violating_blocks(rel, ks).blocks == {frozenset({0, 1})}
     assert_routes_agree(rel, ks)
 
 
@@ -168,7 +172,7 @@ def test_incomplete_rows_join_every_class():
     schema = Schema.of("a",)
     rel = Relation.from_values(schema, [("x",), ("y",), (None,)])
     ks = KeySet.of({0})
-    assert violating_blocks(rel, ks).blocks == (frozenset({0, 2}), frozenset({1, 2}))
+    assert violating_blocks(rel, ks).blocks == {frozenset({0, 2}), frozenset({1, 2})}
     assert_routes_agree(rel, ks)
 
 
@@ -303,8 +307,8 @@ _EQUAL_SIZE = _case(
 )
 def test_maximal_filter_cases(pair, raw, maximal):
     rel, ks = pair
-    assert block_trace(rel, ks)[-1].blocks == tuple(map(frozenset, raw))
-    assert violating_blocks(rel, ks).blocks == tuple(map(frozenset, maximal))
+    assert block_trace(rel, ks)[-1].blocks == set(map(frozenset, raw))
+    assert violating_blocks(rel, ks).blocks == set(map(frozenset, maximal))
 
 
 @settings(max_examples=200)
