@@ -1,9 +1,11 @@
 """Compare the two validation routes on synthetic data.
 
 The all-pairs route is quadratic in rows; the block-refinement route
-hashes each key once. This script times both on generated relations and
-prints the standard report table. Sizes are kept small so the demo runs
-in a few seconds; bump ROWS to see the gap widen.
+sorts the rows' integer codes once per round, where a round is one key
+with missing cells or a group of complete columns. This script times
+both on generated relations and prints the standard report table. Sizes
+are kept small so the demo runs in a few seconds; bump ROWS to see the
+gap widen.
 
 Run: python3 demos/05_benchmark.py
 """

@@ -7,17 +7,19 @@ Two independent routes compute which rows take part in a violation:
   pairwise comparisons are vectorized with numpy so large inputs stay
   usable, but the output is exactly the definitional all-pairs result.
 
-* :func:`violating_blocks` refines a block partition one key at a time.
-  Rows that are total on the current key are grouped by their projection;
-  incomplete rows join every class of their block, because a missing value
-  can match anything. Each key is one round of numpy sorting and grouping
-  over the relation's integer codes (:attr:`Relation.codes`), so the run
-  time is linear in rows times total key size, up to the sort's log factor,
-  for bounded block overlap. Each key column is gathered from its
-  contiguous column of the column-major code matrix. Every sort of a
-  class or row key packs the key with its index below it into one int64
-  and runs a plain ``np.sort``, about three times faster than
-  ``np.argsort``; the class key is re-densified whenever the next column
+* :func:`violating_blocks` refines a block partition one round at a
+  time, each round on a set of columns. Rows that are total on the
+  round's columns are grouped by their projection; incomplete rows join
+  every class of their block, because a missing value can match anything.
+  Each round is one pass of numpy sorting and grouping over the
+  relation's integer codes (:attr:`Relation.codes`), so the run time is
+  linear in rows times total key size, up to the sort's log factor, for
+  bounded block overlap. Each column is gathered from its contiguous
+  column of the column-major code matrix, or read in place on the first
+  round. Every sort of a class or row key packs the key with its index
+  below it into one int64 and runs a plain ``np.sort``, about three
+  times faster than ``np.argsort``, and reads the sorted key back from
+  the high bits; the class key is re-densified whenever the next column
   would leave too little room for the index bits. The one fallback, a
   stable ``np.argsort``, runs only when a key still does not pack, which
   on a total relation takes 2**21 rows and columns of as many values
@@ -30,19 +32,25 @@ Two independent routes compute which rows take part in a violation:
   than :data:`BLOCK_ROW_CAP` row copies raises
   :class:`~keysets.core.ResourceLimit` before it is built.
 
-  The order of the keys sets the work, not the answer. Each incomplete
-  row is copied into every class of its block, so ``violating_blocks``
-  and ``satisfies`` take the keys with the fewest missing cells in their
-  columns first (:attr:`Relation.null_counts`). Ties, such as every key
-  of a total relation, go to the key with the most distinct values
-  first, which leaves the fewest rows in blocks for the keys after it;
-  remaining ties keep canonical order. The answer does not depend on the
-  order: a maximal set of rows that no key separates stays inside one
-  block whatever the order, since its total members agree on each key
-  and its incomplete members join every class, and every block is such a
-  set or inside one. So the final state's maximal blocks, and
-  whether it is empty, are the same in every order. :func:`block_trace`
-  refines in canonical key order.
+  The rounds set the work, not the answer (:func:`_plan`). On rows that
+  are total on every attribute of a key set, two rows are unseparated
+  iff they agree on the union of its keys: there a key set is one key.
+  So every complete key, one whose columns miss no cell
+  (:attr:`Relation.null_counts`), is dissolved into its columns, and
+  those are refined first, most distinct first, grouped greedily into
+  rounds that each fit one packed sort. Such rounds only partition
+  blocks by projection and copy no row, and partitions compose into the
+  partition by the union in any grouping and order. The keys with
+  missing cells follow, one round each: each incomplete row is copied
+  into every class of its block, so the keys with the fewest missing
+  cells go first, then the most distinct, then canonical order. The
+  answer does not depend on the plan: a maximal set of rows that no key
+  separates stays inside one block in any plan, since its total members
+  agree on each key and so on each column of a complete key, and its
+  incomplete members join every class; and every block is such a set or
+  inside one. So the final state's maximal blocks, and whether it is
+  empty, are the same in every plan. :func:`block_trace` refines key by
+  key, in canonical key order.
 
   The final state then keeps only its maximal blocks. When no row is in
   two blocks every block is maximal and the filter returns at once.
@@ -138,27 +146,30 @@ def _within(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _order(key: np.ndarray, bound: int) -> np.ndarray:
-    """Stable sort order of ``key``, whose values lie in ``[0, bound)``.
+def _order(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``key`` sorted, and its stable sort order; its values lie in ``[0, bound)``.
 
     Each value is packed with its index below it, ``key << shift | index``,
     and sorted with a plain ``np.sort``, which is about three times faster
-    than ``np.argsort`` on int64; the index bits left after the sort are
-    the order, and they break ties by position. When ``bound`` leaves no
-    room for the index bits in int64, a stable ``np.argsort`` runs instead.
+    than ``np.argsort`` on int64; the high bits left after the sort are the
+    sorted key and the low bits the order, which breaks ties by position.
+    When ``bound`` leaves no room for the index bits in int64, a stable
+    ``np.argsort`` runs instead.
     """
     m = len(key)
     shift = m.bit_length()
     if bound > 1 << (63 - shift):
-        return np.argsort(key, kind="stable")
-    return np.sort(key << shift | np.arange(m)) & ((1 << shift) - 1)
+        order = np.argsort(key, kind="stable")
+        return key[order], order
+    packed = np.sort(key << shift | np.arange(m))
+    return packed >> shift, packed & ((1 << shift) - 1)
 
 
 def _dense(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     """Stable sort order of ``key`` (values below ``bound``, see
     :func:`_order`) and its values' dense ranks in that order."""
-    order = _order(key, bound)
-    return order, np.cumsum(_change(key[order])) - 1
+    values, order = _order(key, bound)
+    return order, np.cumsum(_change(values)) - 1
 
 
 def _drop_blocks(blk: np.ndarray, pos: np.ndarray, drop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,31 +204,38 @@ def _merge_identical(blk: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.n
     return _drop_blocks(blk, pos, drop)
 
 
-def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, cols: list[int]):
-    """One refinement round: split every block on the key ``cols``.
+def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, cols: list[int], complete: bool):
+    """One refinement round: split every block on the columns ``cols``.
 
     A state is a pair of arrays, block id and row position, sorted by
-    (block, row). Members total on the key are grouped by (block,
+    (block, row). Members total on ``cols`` are grouped by (block,
     projection); incomplete members are copied into every class of their
     block, and a block with no total member keeps its incomplete rows as
     one block. Classes of fewer than two rows are dropped. Only blocks that
     share a row can come out identical, so identical blocks are merged only
     when ``overlap`` (the input state has a row in two blocks) or some
     member is incomplete on the key; the returned flag says whether the
-    new state overlaps.
+    new state overlaps. ``complete`` says that no cell of ``cols`` is
+    missing, so the round skips its totality scan.
 
-    Each key column is gathered from its contiguous column of ``codes``.
-    The class key is sorted once, and the classes are read off the sorted
-    values: a member is kept when it equals a neighbour, and the kept
-    members' changes of value number the new blocks. Only when some member
-    is incomplete are classes numbered for every member, since each copy
-    of an incomplete row needs the number of the class it joins.
+    Each key column is gathered from its contiguous column of ``codes``;
+    on the first state, one block holding every row in order, it is read
+    in place. The class key is sorted once, and the classes are read off
+    the sorted values: a member is kept when it equals a neighbour, and the
+    kept members' changes of value number the new blocks. Only when some
+    member is incomplete are classes numbered for every member, since each
+    copy of an incomplete row needs the number of the class it joins.
     """
     n = len(codes)
     nblocks = int(blk[-1]) + 1
-    sub = [codes[:, c][pos] for c in cols]
-    total = np.logical_and.reduce([s >= 0 for s in sub])
-    all_total = total.all()
+    # a block never holds a row twice, so this is the first state: pos == arange(n)
+    whole = nblocks == 1 and len(pos) == n
+    sub = [codes[:, c] if whole else codes[:, c][pos] for c in cols]
+    if complete:
+        all_total = True
+    else:
+        total = np.logical_and.reduce([s >= 0 for s in sub])
+        all_total = total.all()
     if all_total:
         t_blk, t_pos = blk, pos
     else:
@@ -234,11 +252,12 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
             key = np.empty_like(rank)
             key[order] = rank
             bound = int(rank[-1]) + 1
-        key = key * card + s
+        key *= card
+        key += s
         bound *= card
     # the stable sort keeps rows ascending inside each class
-    order = _order(key, bound)
-    key, new_pos = key[order], t_pos[order]
+    key, order = _order(key, bound)
+    new_pos = order if whole and all_total else t_pos[order]
     if not all_total:
         start = _change(key)
         cls = np.cumsum(start) - 1
@@ -255,7 +274,7 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
         o_cls = np.cumsum(_change(i_blk[orphan])) - 1 + per_block.sum()
         cls = np.concatenate((cls, c_cls, o_cls))
         new_pos = np.concatenate((new_pos, np.repeat(i_pos, copies), i_pos[orphan]))
-        order = _order(cls * n + new_pos, (int(cls.max()) + 1) * n)
+        order = _order(cls * n + new_pos, (int(cls.max()) + 1) * n)[1]
         key, new_pos = cls[order], new_pos[order]
     # a class of two or more rows is a run of equal neighbours
     same = key[1:] == key[:-1]
@@ -274,30 +293,66 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
 
 
 def _refine(relation: Relation, keys: Iterable[AttrSet]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the block state after each of ``keys``, in the order given."""
-    codes = relation.codes
+    """Yield the block state after each of ``keys``, in the order given.
+
+    A key is any set of columns: a key of the key set, or one of
+    :func:`_plan`'s rounds of complete columns.
+    """
+    codes, nulls = relation.codes, relation.null_counts
     blk = np.zeros(len(codes) if len(codes) > 1 else 0, dtype=np.intp)
     pos = np.arange(len(blk))
     overlap = False
     for key in keys:
         if len(pos):
-            blk, pos, overlap = _split(codes, blk, pos, overlap, sorted(key))
+            cols = sorted(key)
+            blk, pos, overlap = _split(codes, blk, pos, overlap, cols, not any(nulls[c] for c in cols))
         yield blk, pos
 
 
-def _fewest_missing_first(relation: Relation, ks: KeySet) -> list[AttrSet]:
-    """The keys of ``ks`` by the missing cells in their columns, fewest
-    first, and among those by their distinct values, most first. A key's
-    distinct values are estimated as the product of its columns'
-    dictionary sizes, capped at the row count; the stable sort keeps
-    canonical order among the remaining ties."""
+def _plan(relation: Relation, ks: KeySet) -> list[AttrSet]:
+    """The rounds in which :func:`violating_blocks` and :func:`satisfies`
+    refine ``ks``: first its complete columns, then its keys with missing
+    cells.
+
+    A key whose columns hold no missing cell is dissolved into its columns.
+    Every row is total on them, so each refinement on them only partitions
+    blocks by projection and copies no row; partitions compose, in any
+    grouping and order, into the partition by their union, and a class
+    dropped as a singleton stays one under any finer partition. Two rows
+    agree on every complete key iff they agree on that union, so the
+    complete keys may be refined as any rounds of their columns. The
+    columns go most distinct first (dictionary sizes) and are grouped
+    greedily into rounds whose product of dictionary sizes fits one
+    packed sort of every row (:func:`_order`).
+
+    The keys with missing cells follow, each as one round: the fewest
+    missing cells in their columns first (:attr:`Relation.null_counts`),
+    since each incomplete row is copied into every class of its block;
+    then the most distinct values, estimated as the product of the key's
+    dictionary sizes capped at the row count; then canonical order.
+    """
     nulls = relation.null_counts
     sizes = [len(d) for d in relation.dictionaries]
     rows = len(relation)
-    return sorted(
-        ks.sorted_keys,
-        key=lambda key: (sum(nulls[a] for a in key), -min(math.prod(sizes[a] for a in key), rows)),
-    )
+    columns: set[int] = set()
+    partial = []
+    for key in ks.keys:
+        missing = sum(nulls[a] for a in key)
+        if missing:
+            partial.append((missing, -min(math.prod(sizes[a] for a in key), rows), attr_sort_key(key), key))
+        else:
+            columns |= key
+    room = 1 << (63 - rows.bit_length())
+    rounds: list[set[int]] = []
+    product = 0
+    for c in sorted(columns, key=lambda c: (-sizes[c], c)):
+        if not rounds or product * sizes[c] > room:
+            rounds.append(set())
+            product = 1
+        rounds[-1].add(c)
+        product *= sizes[c]
+    partial.sort()
+    return [*map(frozenset, rounds), *(key for *_, key in partial)]
 
 
 def _blockset(relation: Relation, blk: np.ndarray, pos: np.ndarray) -> BlockSet:
@@ -313,7 +368,7 @@ def block_trace(relation: Relation, ks: KeySet) -> list[BlockSet]:
     Entry ``i`` is the block set after refining with the first ``i + 1``
     keys of ``ks.sorted_keys``; the last entry is the final (unfiltered)
     state. Its maximal blocks are those of :func:`violating_blocks`, which
-    refines in another order.
+    refines in other rounds.
     """
     _check_fits(relation, ks)
     return [_blockset(relation, blk, pos) for blk, pos in _refine(relation, ks.sorted_keys)]
@@ -338,10 +393,10 @@ def _maximal_only(blk: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray,
     sizes = np.diff(starts, append=len(pos))
     # each block's members, rarest first
     ranks = int(count.max()) + 1
-    ranked = pos[_order(blk * ranks + count[pos], len(starts) * ranks)]
+    ranked = pos[_order(blk * ranks + count[pos], len(starts) * ranks)[1]]
     rare = ranked[starts]
     # inverted index: the blocks on each row, ascending, row after row
-    on_row = blk[_order(pos, n)]
+    on_row = blk[_order(pos, n)[1]]
     row_start = np.cumsum(count) - count
     # the state's (block, row) pairs as sorted keys, and a sentinel past them
     key = np.append(blk * n + pos, len(starts) * n)
@@ -376,13 +431,13 @@ def violating_blocks(relation: Relation, ks: KeySet) -> BlockSet:
     """Violating rows grouped into blocks, reporting maximal blocks only.
 
     The relation satisfies ``ks`` iff the result is empty. Refines the
-    keys with the fewest missing cells first, and among those the keys
-    with the most distinct values; the maximal blocks are the same in
-    every order (see the module docstring). Use
-    :func:`block_trace` for the raw per-key states, in canonical key order.
+    columns of the complete keys first, in packed rounds, then the keys
+    with missing cells (:func:`_plan`); the maximal blocks are the same in
+    every plan (see the module docstring). Use :func:`block_trace` for
+    the raw per-key states, in canonical key order.
     """
     _check_fits(relation, ks)
-    for state in _refine(relation, _fewest_missing_first(relation, ks)):
+    for state in _refine(relation, _plan(relation, ks)):
         pass
     return _blockset(relation, *_maximal_only(*state, len(relation)))
 
@@ -390,11 +445,11 @@ def violating_blocks(relation: Relation, ks: KeySet) -> BlockSet:
 def satisfies(relation: Relation, ks: KeySet) -> bool:
     """True iff every pair of distinct rows is separated by some key.
 
-    Refines in the order :func:`violating_blocks` uses and stops at the
-    first empty state; whether one is reached does not depend on the order.
+    Refines in the rounds :func:`violating_blocks` uses and stops at the
+    first empty state; whether one is reached does not depend on the plan.
     """
     _check_fits(relation, ks)
-    return any(not len(pos) for _, pos in _refine(relation, _fewest_missing_first(relation, ks)))
+    return any(not len(pos) for _, pos in _refine(relation, _plan(relation, ks)))
 
 
 def violating_tuples_naive(relation: Relation, ks: KeySet) -> frozenset[int]:

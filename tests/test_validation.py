@@ -339,11 +339,13 @@ def test_two_thousand_rows_with_nulls():
 
 
 # --------------------------------------------------------------------------
-# Key order: violating_blocks and satisfies refine fewest-missing-first.
+# Plan: violating_blocks and satisfies refine the complete columns first,
+# most distinct first in packed rounds, then the keys with missing cells,
+# fewest missing first.
 
 
 def _spy_refine(monkeypatch) -> list[list]:
-    """Record each refinement's ``[key order, rows summed over its states]``."""
+    """Record each refinement's ``[rounds, rows summed over its states]``."""
     runs: list[list] = []
     refine = validation._refine
 
@@ -373,18 +375,159 @@ def test_refinement_order_does_not_change_the_answer(pair):
         assert any(not len(pos) for _, pos in states) == sat
 
 
-def test_total_relation_refines_in_canonical_order(monkeypatch):
-    """The tie case: every column of a total relation has 4 values, so keys
-    of one size tie on distinct values, and in these key sets the one
-    larger key also comes first in canonical order."""
+def test_total_relation_refines_in_one_round(monkeypatch):
+    """Every column of this total relation has 4 values, so all the columns
+    of a key set fit one packed sort of its 300 rows: each key set is
+    refined as one round over the union of its keys."""
     schema = Schema(tuple(f"a{i}" for i in range(8)))
     rel = synthetic_relation(schema, 300, 0.0, seed=2)
     runs = _spy_refine(monkeypatch)
     for ks in (*gen_sequential_keysets(schema), gen_random_keyset(schema, 3, seed=4)):
         runs.clear()
-        violating_blocks(rel, ks)
-        satisfies(rel, ks)
-        assert [keys for keys, _ in runs] == [list(ks.sorted_keys)] * 2
+        blocks = violating_blocks(rel, ks)
+        sat = satisfies(rel, ks)
+        assert [keys for keys, _ in runs] == [[ks.attributes]] * 2
+        assert blocks.row_ids == violating_tuples_naive(rel, ks)
+        assert sat == (not blocks)
+
+
+def _graded_relation() -> Relation:
+    """300 total rows over columns of 2, 5, 50 and 300 drawn values (189
+    distinct in the last); the last 6 rows repeat the first 6."""
+    rng = random.Random(5)
+    schema = Schema(tuple(f"a{i}" for i in range(4)))
+    rows = [tuple(str(rng.randrange(c)) for c in (2, 5, 50, 300)) for _ in range(294)]
+    return Relation.from_values(schema, rows + rows[:6])
+
+
+def _graded_wide_rows() -> list[tuple[str, ...]]:
+    """300 rows over ten columns: six drawn from 1,000 values (255-264
+    distinct each) between columns of 2, 5, 50 and 300 drawn values (194
+    distinct in the last); the last 6 rows repeat the first 6."""
+    rng = random.Random(5)
+    cards = (1000, 2, 1000, 5, 1000, 50, 1000, 300, 1000, 1000)
+    rows = [tuple(str(rng.randrange(c)) for c in cards) for _ in range(294)]
+    return rows + rows[:6]
+
+
+def test_total_relation_refines_most_distinct_first(monkeypatch):
+    """The complete columns go most distinct first, grouped greedily into
+    rounds that fit one packed sort: 2**54 value combinations for 300 rows."""
+    runs = _spy_refine(monkeypatch)
+    rel = _graded_relation()
+    assert [len(d) for d in rel.dictionaries] == [2, 5, 50, 189]
+    wide = Relation.from_values(Schema(tuple(f"a{i}" for i in range(10))), _graded_wide_rows())
+    assert [len(d) for d in wide.dictionaries] == [264, 2, 257, 5, 258, 50, 261, 194, 255, 262]
+    cases = [
+        # 2 * 5 * 50 * 189 = 94,500 combinations: one round
+        *((rel, ks, [{0, 1, 2, 3}], 6) for ks in gen_sequential_keysets(rel.schema)),
+        (rel, KeySet.of({2, 3}, {1, 3}), [{1, 2, 3}], 7),
+        # the six columns of 255-264 values make 2**48.1 combinations, and
+        # the next one, of 194, would pass 2**54; key boundaries play no part
+        *((wide, ks, [{0, 2, 4, 6, 8, 9}, {1, 3, 5, 7}], 6) for ks in gen_sequential_keysets(wide.schema)),
+        (wide, KeySet.of({2, 3}, {1, 3}), [{1, 2, 3}], 8),
+    ]
+    for relation, ks, rounds, nblocks in cases:
+        runs.clear()
+        blocks = violating_blocks(relation, ks)
+        sat = satisfies(relation, ks)
+        assert [keys for keys, _ in runs] == [rounds] * 2
+        assert len(blocks) == nblocks and not sat
+        assert blocks.row_ids == violating_tuples_naive(relation, ks)
+
+
+def test_plan_refines_complete_columns_first(monkeypatch):
+    """On the graded wide rows plus a column missing every third cell (7
+    values) and one missing every fifth (11 values), the complete keys
+    come first as one round of their columns; the keys with missing cells
+    follow, fewest missing first, then most distinct first."""
+    rows = [
+        (*row, None if i % 3 == 0 else str(i % 7), None if i % 5 == 0 else str(i % 11))
+        for i, row in enumerate(_graded_wide_rows())
+    ]
+    rel = Relation.from_values(Schema(tuple(f"a{i}" for i in range(12))), rows)
+    assert rel.null_counts == (0,) * 10 + (100, 60)
+    runs = _spy_refine(monkeypatch)
+    cases = [
+        # {a0, a11} has 60 missing cells; {a2, a10} and {a10} tie at 100, and
+        # {a2, a10} has more value combinations
+        (KeySet.of({10}, {0, 11}, {1}, {2, 10}, {3}), [{1, 3}, {0, 11}, {2, 10}, {10}]),
+        (KeySet.of({10}, {11}, {4, 5}, {0}), [{0, 4, 5}, {11}, {10}]),
+    ]
+    for ks, rounds in cases:
+        runs.clear()
+        blocks = violating_blocks(rel, ks)
+        sat = satisfies(rel, ks)
+        assert [keys for keys, _ in runs] == [rounds] * 2
+        assert blocks.row_ids == violating_tuples_naive(rel, ks) and not sat
+        assert blocks == BlockSet(reference_maximal_only(block_trace(rel, ks)[-1].blocks))
+
+
+@st.composite
+def _mixed_relation_keyset_st(draw, max_width=6, max_rows=14):
+    """Relations whose columns are each complete or miss some cells, with a
+    key set mixing keys over complete columns with keys over any columns."""
+    width = draw(st.integers(1, max_width))
+    complete = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    null_rate = draw(st.sampled_from((0.1, 0.3, 0.5)))
+    distinct = draw(st.integers(1, 3))
+    nrows = draw(st.integers(0, max_rows))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = [
+        [None if not complete[j] and rnd.random() < null_rate else f"v{rnd.randrange(distinct)}" for j in range(width)]
+        for _ in range(nrows)
+    ]
+    for j in range(width):
+        if rows and not complete[j]:
+            rows[rnd.randrange(nrows)][j] = None
+    row_ids = rnd.sample(range(3 * nrows + 5), nrows)
+    rel = Relation.from_values(Schema(tuple(f"c{i}" for i in range(width))), rows, row_ids=row_ids)
+    any_key = st.frozensets(st.integers(0, width - 1), min_size=1, max_size=3)
+    keys = draw(st.lists(any_key, max_size=3))
+    full = [j for j in range(width) if complete[j]]
+    if full:
+        keys += draw(st.lists(st.frozensets(st.sampled_from(full), min_size=1, max_size=3), max_size=3))
+    return rel, KeySet(frozenset(keys or [draw(any_key)]))
+
+
+_ONE_ROW = Relation.from_values(Schema.of("c0", "c1"), [("a", None)]), KeySet.of({0}, {1}, {0, 1})
+_TWIN_ROWS = _total("aa", "bb", keys=({0}, {1}))
+_ALL_COMPLETE = _total("abab", "xyxy", "pqpr", keys=({0}, {1, 2}))
+# 17 complete columns of 12 values each over 14 rows, two of them copies,
+# need two packed rounds (12**17 > 2**59); a last column misses cells
+_TWO_ROUNDS = (
+    Relation.from_values(
+        Schema(tuple(f"c{j}" for j in range(18))),
+        [[str((i + j) % 12) for j in range(17)] + [None if i % 4 else "x"] for i in (*range(12), 0, 5)],
+    ),
+    KeySet.of(range(9), range(9, 17), {16, 17}),
+)
+
+
+@settings(max_examples=200)
+@given(_mixed_relation_keyset_st())
+@example(_ONE_ROW)
+@example(_TWIN_ROWS)
+@example(_ALL_COMPLETE)
+@example(_TWO_ROUNDS)
+def test_mixed_relations_match_the_oracles(pair):
+    """On relations mixing complete and incomplete columns, the plan
+    refines the complete keys' columns first, in null-free rounds, then
+    each key with missing cells; the answers equal the all-pairs route's
+    and the maximal blocks of canonical block_trace's final state."""
+    rel, ks = pair
+    nulls = rel.null_counts
+    complete = {key for key in ks.keys if not any(nulls[a] for a in key)}
+    plan = validation._plan(rel, ks)
+    head = len(plan) - len(ks.keys - complete)
+    assert not any(nulls[c] for cols in plan[:head] for c in cols)
+    assert frozenset().union(*plan[:head]) == frozenset().union(*complete)
+    assert set(plan[head:]) == ks.keys - complete
+    naive = violating_tuples_naive(rel, ks)
+    blocks = violating_blocks(rel, ks)
+    assert blocks.row_ids == naive
+    assert satisfies(rel, ks) == (not naive)
+    assert blocks == BlockSet(reference_maximal_only(block_trace(rel, ks)[-1].blocks))
 
 
 def test_fewest_missing_first_cuts_the_refinement_work(monkeypatch):
@@ -408,42 +551,11 @@ def test_fewest_missing_first_cuts_the_refinement_work(monkeypatch):
     assert runs[2][0] == [*sorted(family[2].sorted_keys[1:], key=lambda k: nulls[min(k)]), frozenset({0, 1, 2})]
 
 
-def _graded_relation() -> Relation:
-    """300 total rows over columns of 2, 5, 50 and 300 drawn values (189
-    distinct in the last); the last 6 rows repeat the first 6."""
-    rng = random.Random(5)
-    schema = Schema(tuple(f"a{i}" for i in range(4)))
-    rows = [tuple(str(rng.randrange(c)) for c in (2, 5, 50, 300)) for _ in range(294)]
-    return Relation.from_values(schema, rows + rows[:6])
-
-
-def test_total_relation_refines_most_distinct_first(monkeypatch):
-    rel = _graded_relation()
-    assert [len(d) for d in rel.dictionaries] == [2, 5, 50, 189]
-    runs = _spy_refine(monkeypatch)
-    cases = zip(
-        [*gen_sequential_keysets(rel.schema), KeySet.of({2, 3}, {1, 3})],
-        [
-            [{3}, {2}, {1}, {0}],
-            [{3}, {2}, {0, 1}],
-            # 2 * 5 * 50 = 500 value combinations, capped at 300 rows
-            [{0, 1, 2}, {3}],
-            [{0, 1, 2, 3}],
-            # 945 and 9,450 combinations tie at the cap and keep canonical order
-            [{1, 3}, {2, 3}],
-        ],
-    )
-    for ks, order in cases:
-        runs.clear()
-        violating_blocks(rel, ks)
-        satisfies(rel, ks)
-        assert [keys for keys, _ in runs] == [order] * 2
-
-
 def test_most_distinct_first_cuts_the_refinement_work(monkeypatch):
     """Rows summed over every refinement state of X_1..X_4 on the graded
     relation: block_trace refines in canonical order, violating_blocks
-    most distinct first. Both counts are exact pins of the work."""
+    each key set as one round of its columns, most distinct first. Both
+    counts are exact pins of the work."""
     rel = _graded_relation()
     family = gen_sequential_keysets(rel.schema)
     runs = _spy_refine(monkeypatch)
@@ -453,7 +565,8 @@ def test_most_distinct_first_cuts_the_refinement_work(monkeypatch):
     runs.clear()
     blocks = [violating_blocks(rel, ks) for ks in family]
     work = sum(rows for _, rows in runs)
-    assert work == 647 < canonical == 1_383
+    # one state per key set: the 12 rows of the 6 planted pairs
+    assert work == 48 < canonical == 1_383
     # the planted duplicates are the only violations
     assert all(len(b) == 6 for b in blocks)
 
@@ -468,19 +581,21 @@ def test_order_is_the_stable_argsort(data):
     bound = data.draw(st.one_of(st.just(room), st.integers(room + 1, 2 * room), st.integers(room + 1, 1 << 63)))
     values = data.draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=8))
     key = np.array(data.draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)), dtype=np.int64)
-    assert np.array_equal(validation._order(key, bound), np.argsort(key, kind="stable"))
+    ordered, order = validation._order(key, bound)
+    assert np.array_equal(order, np.argsort(key, kind="stable"))
+    assert np.array_equal(ordered, key[order])
 
 
-def _wide_key_sorts(monkeypatch, missing: float) -> tuple[list[int], list[bool]]:
-    """Validate a 12-column key over about 330 distinct values per column
-    with both routes: 400 random rows, each cell missing with probability
-    ``missing``, plus the first 20 again. Returns the ``_dense`` calls per
-    route, and whether each ``_order`` call packed."""
+def _wide_rows(missing: float) -> list[tuple[str | None, ...]]:
+    """400 random rows over 12 columns of about 330 distinct values each,
+    every cell missing with probability ``missing``."""
     rng = random.Random(3)
-    schema = Schema(tuple(f"a{i}" for i in range(12)))
-    rows = [tuple(None if rng.random() < missing else str(rng.randrange(2000)) for _ in range(12)) for _ in range(400)]
-    rel = Relation.from_values(schema, rows + rows[:20])
-    ks = KeySet.of(set(range(12)))
+    return [tuple(None if rng.random() < missing else str(rng.randrange(2000)) for _ in range(12)) for _ in range(400)]
+
+
+def _wide_key_sorts(monkeypatch, rel: Relation, ks: KeySet) -> tuple[list[int], list[bool]]:
+    """Validate ``ks`` with both routes, checking their answers. Returns
+    the ``_dense`` calls per route, and whether each ``_order`` call packed."""
     dense_calls, packed = [], []
     dense, order = validation._dense, validation._order
 
@@ -502,11 +617,17 @@ def _wide_key_sorts(monkeypatch, missing: float) -> tuple[list[int], list[bool]]
     return dense_calls, packed
 
 
+_WIDE_SCHEMA = Schema(tuple(f"a{i}" for i in range(12)))
+
+
 def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
-    """With 10% missing cells the class key outgrows the room ``_order``
-    needs for its index bits, so ``_split`` re-densifies it twice per
-    route, and every ``_order`` call packs."""
-    dense_calls, packed = _wide_key_sorts(monkeypatch, 0.1)
+    """A 12-column key over the wide rows with 10% missing cells, plus the
+    first 20 again: the class key outgrows the room ``_order`` needs for
+    its index bits, so ``_split`` re-densifies it twice per route, and
+    every ``_order`` call packs."""
+    rows = _wide_rows(0.1)
+    rel = Relation.from_values(_WIDE_SCHEMA, rows + rows[:20])
+    dense_calls, packed = _wide_key_sorts(monkeypatch, rel, KeySet.of(range(12)))
     # per route: two re-densifies; the final sort calls _order directly
     assert dense_calls == [2, 2]
     # per route, _split's two re-densifies, its final sort and its merge
@@ -515,10 +636,31 @@ def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
 
 
 def test_total_wide_key_re_densifies_and_stays_packed(monkeypatch):
-    """The same key over a total relation: two re-densifies per route,
-    and every ``_order`` call packs."""
-    dense_calls, packed = _wide_key_sorts(monkeypatch, 0.0)
-    assert dense_calls == [2, 2]
-    # per route, the two re-densifies and the final sort; no row is in
-    # two blocks, so the maximal-block filter sorts nothing
+    """The all-total path of ``_split``. The same key over the total wide
+    rows is complete, so it is planned as two rounds of six columns that
+    each fit a packed sort, and nothing re-densifies. Re-densifying on
+    that path takes a key with missing cells whose surviving members are
+    all total: below, a complete ``id`` column first leaves only 20 pairs
+    of total rows, and the key's later columns outgrow the room of their
+    20 blocks. Every ``_order`` call packs."""
+    rows = _wide_rows(0.0)
+    rel = Relation.from_values(_WIDE_SCHEMA, rows + rows[:20])
+    dense_calls, packed = _wide_key_sorts(monkeypatch, rel, KeySet.of(range(12)))
+    assert dense_calls == [0, 0]
+    # per route, the final sort of each round; no row is in two blocks,
+    # so the maximal-block filter sorts nothing
+    assert len(packed) == 4 and all(packed)
+
+    # rows late in the file have the highest codes, so twin 20 of them
+    monkeypatch.undo()
+    rows = _wide_rows(0.1)
+    twins = [i for i, row in enumerate(rows) if None not in row][-20:]
+    rel = Relation.from_values(
+        Schema(("id", *_WIDE_SCHEMA.attributes)),
+        [(str(i), *row) for i, row in enumerate(rows)] + [(str(i), *rows[i]) for i in twins],
+    )
+    assert rel.null_counts[0] == 0 and all(rel.null_counts[1:])
+    dense_calls, packed = _wide_key_sorts(monkeypatch, rel, KeySet.of({0}, range(1, 13)))
+    assert dense_calls == [1, 1]
+    # per route, the id round's sort, then the key's re-densify and sort
     assert len(packed) == 6 and all(packed)
