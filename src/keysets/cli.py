@@ -8,7 +8,9 @@ derivation checking (``check-proof``), Armstrong relation generation
 
 Exit codes: 0 when the property holds (satisfied, implied, valid), 1 when
 it does not, 2 on usage or input errors, 3 when a resource limit was hit
-(:class:`~keysets.core.ResourceLimit`). The limits are:
+(:class:`~keysets.core.ResourceLimit`), and 141 (128 + SIGPIPE), with no
+error line, when the reader of standard output closed it early, as
+``head`` does. The limits are:
 
 * the nodes the ``implies`` search visits when the product of its kept
   keys' counts exceeds the same number,
@@ -54,6 +56,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 128 + 13  # SIGPIPE
 
 
 def _resolve_schema(spec: str) -> Schema:
@@ -304,6 +307,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point standard output at devnull, so that flushing it at interpreter
+    exit does not fail on the closed pipe again (the SIGPIPE note in the
+    Python docs). An in-memory stream, which has no descriptor, is left as is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def run_cli(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -311,7 +327,12 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_PIPE
     except (ResourceLimit, ParseError, IngestError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP if isinstance(exc, ResourceLimit) else EXIT_USAGE

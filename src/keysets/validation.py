@@ -28,9 +28,16 @@ Two independent routes compute which rows take part in a violation:
   neighbour, which drops the singleton classes, and the changes of value
   among the members kept number the blocks.
   :func:`block_trace` and :func:`satisfies` run the same refinement loop;
-  ``satisfies`` stops at the first empty state. A state holding more
-  than :data:`BLOCK_ROW_CAP` row copies raises
-  :class:`~keysets.core.ResourceLimit` before it is built.
+  ``satisfies`` stops at the first empty state, and answers ``False`` at
+  the first state holding a wild row, one that misses a cell of every
+  round still to come (:func:`_wild`). Every block holds two or more
+  rows that no round so far separates, and a key separates two rows
+  only when both are total on it, so the wild row and any other member
+  of its block form a violating pair. A state holding more than
+  :data:`BLOCK_ROW_CAP` row copies raises
+  :class:`~keysets.core.ResourceLimit` before it is built, so
+  ``satisfies`` raises it only when it must build such a state before
+  it finds a witness.
 
   The rounds set the work, not the answer (:func:`_plan`). On rows that
   are total on every attribute of a key set, two rows are unseparated
@@ -242,8 +249,12 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
         t = np.flatnonzero(total)
         t_blk, t_pos, sub = blk[t], pos[t], [s[t] for s in sub]
     # class key: block id, then each key column, in mixed radix; re-densify
-    # whenever the next step would leave no room for _order's index bits
-    key, bound = t_blk.astype(np.int64), nblocks
+    # whenever the next step would leave no room for _order's index bits.
+    # With one block the block id is 0 throughout, so the first column starts it.
+    if nblocks == 1:
+        key, bound, sub = sub[0].astype(np.int64), int(sub[0].max(initial=0)) + 1, sub[1:]
+    else:
+        key, bound = t_blk.astype(np.int64), nblocks
     room = 1 << (63 - len(key).bit_length())
     for s in sub:
         card = int(s.max(initial=0)) + 1
@@ -442,14 +453,50 @@ def violating_blocks(relation: Relation, ks: KeySet) -> BlockSet:
     return _blockset(relation, *_maximal_only(*state, len(relation)))
 
 
+def _wild(relation: Relation, rounds: list[AttrSet]) -> list[np.ndarray]:
+    """For each round with missing cells, the rows that miss a cell of it
+    and of every round after it.
+
+    Entry ``i`` belongs to round ``len(rounds) - len(result) + i``. Only the
+    tail of ``rounds`` whose keys have missing cells is covered: a round of
+    complete columns makes no row incomplete, and :func:`_plan` puts those
+    first, so a total relation gets no mask.
+    """
+    codes, nulls = relation.codes, relation.null_counts
+    masks: list[np.ndarray] = []
+    for key in reversed(rounds):
+        if not any(nulls[c] for c in key):
+            break
+        missing = np.logical_or.reduce([codes[:, c] < 0 for c in key])
+        masks.append(missing & masks[-1] if masks else missing)
+    return masks[::-1]
+
+
 def satisfies(relation: Relation, ks: KeySet) -> bool:
     """True iff every pair of distinct rows is separated by some key.
 
     Refines in the rounds :func:`violating_blocks` uses and stops at the
     first empty state; whether one is reached does not depend on the plan.
+    It answers ``False`` as soon as a state holds a wild row, one that
+    misses a cell of every round still to come, and before any round when
+    no round is complete and some row misses a cell of every key. That is
+    sound: each block holds two or more rows that no round so far
+    separates, and a key separates two rows only when both are total on
+    it, so no later round separates the wild row from the others of its
+    block.
     """
     _check_fits(relation, ks)
-    return any(not len(pos) for _, pos in _refine(relation, _plan(relation, ks)))
+    rounds = _plan(relation, ks)
+    wild = _wild(relation, rounds)
+    first = len(rounds) - len(wild)  # wild[t - first] is checked before round t
+    if first == 0 and len(relation) > 1 and wild[0].any():
+        return False
+    for t, (_, pos) in enumerate(_refine(relation, rounds), start=1):
+        if not len(pos):
+            return True
+        if first <= t < len(rounds) and wild[t - first][pos].any():
+            return False
+    return False
 
 
 def violating_tuples_naive(relation: Relation, ks: KeySet) -> frozenset[int]:

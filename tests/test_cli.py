@@ -5,10 +5,11 @@ feeds back into the library (witness CSVs, derivation files, generated
 key sets) is parsed again and re-validated rather than string-compared.
 
 Exit codes: 0 holds, 1 does not hold, 2 usage or input error, 3 a
-resource limit was hit.
+resource limit was hit, 141 standard output closed early.
 """
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from conftest import WARD_CSV, pair_c_instance, random_keys_family
 from keysets import (
     KeySet,
+    Relation,
     ResourceLimit,
     anti_keys,
     block_trace,
@@ -268,6 +270,28 @@ def test_module_entry_points():
         assert (done.returncode, done.stdout) == (0, "{{a},{b}}\n{{a,b}}\n")
 
 
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_closed_pipe_exits_141_quietly(ward_csv, capsys):
+    """A reader that closes standard output early, as ``head`` does, ends
+    the command with 128 + SIGPIPE and no error line."""
+    argv = ["validate", "--data", ward_csv, "--keyset", "{{room,time}}", "--report", "json"]
+    with contextlib.redirect_stdout(_ClosedPipe()):
+        assert run_cli(argv) == 141
+    assert capsys.readouterr() == ("", "")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "keysets", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()  # before the command, still importing, writes anything
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 def test_implies_schema_from_csv_header(ward_csv, sigma_file, capsys):
     code = run_cli(["implies", "--schema", ward_csv, "--sigma", sigma_file, "--phi", X_TEXT])
     assert code == 0
@@ -490,15 +514,23 @@ def test_random_keys_family_antikeys_exits_0(tmp_path, capsys):
 
 def test_block_row_cap_exits_3(ward_csv, monkeypatch, capsys):
     """{{room,time}} puts the ward's three total rows in three classes and
-    copies row 1, missing room, into each: six block rows."""
+    copies row 1, missing room, into each: six block rows. ``satisfies``
+    answers without building them, since row 1 misses a cell of every key;
+    on four rows where each row is total on some key, it builds the six."""
     relation = load_csv(ward_csv)
     ks = parse_keyset("{{room,time}}", relation.schema)
     argv = ["validate", "--data", ward_csv, "--keyset", "{{room,time}}"]
     monkeypatch.setattr(validation, "BLOCK_ROW_CAP", 5)
-    for fn in (violating_blocks, satisfies, block_trace):
+    for fn in (violating_blocks, block_trace):
         with pytest.raises(ResourceLimit) as info:
             fn(relation, ks)
         assert (info.value.limit, info.value.size, info.value.cap) == ("block rows", 6, 5)
+    assert satisfies(relation, ks) is False
+    # {a} first (one missing cell): rows 0..2 are singletons, row 3 joins each
+    rows = Relation.from_values(parse_schema("a,b"), [("1", None), ("2", None), ("3", None), (None, "x")])
+    with pytest.raises(ResourceLimit) as info:
+        satisfies(rows, KeySet.of({0}, {1}))
+    assert (info.value.limit, info.value.size, info.value.cap) == ("block rows", 6, 5)
     assert run_cli(argv) == 3
     assert capsys.readouterr() == ("", "error: block rows has 6 elements, cap is 5\n")
     assert run_cli(argv + ["--algo", "naive"]) == 1  # the all-pairs route builds no blocks

@@ -400,6 +400,53 @@ def _graded_relation() -> Relation:
     return Relation.from_values(schema, rows + rows[:6])
 
 
+def _spy_states(monkeypatch) -> list[int]:
+    """Record how many states each refinement hands to its caller."""
+    taken: list[int] = []
+    refine = validation._refine
+
+    def spy(relation, keys):
+        taken.append(0)
+        for state in refine(relation, keys):
+            taken[-1] += 1
+            yield state
+
+    monkeypatch.setattr(validation, "_refine", spy)
+    return taken
+
+
+def _wild_after(k: int) -> Relation:
+    """Rows ``1111`` and a copy missing its cells after column ``k``, and
+    three rows apart on the complete column a0 that miss the last one, two
+    and three of a1..a3, so that the plan is {a0}, {a1}, {a2}, {a3}. After
+    round ``k < 3`` the copy is the first row in a block to miss a cell of
+    every round still to come; for ``k = 3`` it is a duplicate."""
+    rows = [("1",) * 4, ("1",) * (k + 1) + (None,) * (3 - k)]
+    rows += [(f"b{i}", *(None if j >= 2 - i else "1" for j in range(3))) for i in range(3)]
+    return Relation.from_values(Schema(tuple(f"a{i}" for i in range(4))), rows)
+
+
+def test_satisfies_stops_at_the_first_wild_row(ward, monkeypatch):
+    """``satisfies`` takes no state from the refinement once a state holds
+    a row that misses a cell of every round still to come."""
+    taken = _spy_states(monkeypatch)
+    # row 2 misses room: a witness before any round
+    assert not satisfies(ward, parse_keyset("{{room,time}}", ward.schema))
+    assert sum(taken) == 0
+    for k in range(4):
+        rel, ks = _wild_after(k), KeySet.of({0}, {1}, {2}, {3})
+        assert validation._plan(rel, ks) == [frozenset({j}) for j in range(4)]
+        taken.clear()
+        assert not satisfies(rel, ks)
+        assert taken == [k + 1]
+    # a total relation: no row is wild, and its six twins refute every key set at the last round
+    rel = _graded_relation()
+    for ks in (*gen_sequential_keysets(rel.schema), KeySet.of({2, 3}, {1, 3})):
+        taken.clear()
+        assert not satisfies(rel, ks)
+        assert taken == [len(validation._plan(rel, ks))]
+
+
 def _graded_wide_rows() -> list[tuple[str, ...]]:
     """300 rows over ten columns: six drawn from 1,000 values (255-264
     distinct each) between columns of 2, 5, 50 and 300 drawn values (194
@@ -466,7 +513,10 @@ def test_plan_refines_complete_columns_first(monkeypatch):
 @st.composite
 def _mixed_relation_keyset_st(draw, max_width=6, max_rows=14):
     """Relations whose columns are each complete or miss some cells, with a
-    key set mixing keys over complete columns with keys over any columns."""
+    key set mixing keys over complete columns with keys over any columns.
+    Up to two rows miss a cell of every key that can miss one, so
+    ``satisfies`` may stop on them before any round, when no key is
+    complete, or after the complete keys' rounds."""
     width = draw(st.integers(1, max_width))
     complete = draw(st.lists(st.booleans(), min_size=width, max_size=width))
     null_rate = draw(st.sampled_from((0.1, 0.3, 0.5)))
@@ -481,13 +531,19 @@ def _mixed_relation_keyset_st(draw, max_width=6, max_rows=14):
         if rows and not complete[j]:
             rows[rnd.randrange(nrows)][j] = None
     row_ids = rnd.sample(range(3 * nrows + 5), nrows)
-    rel = Relation.from_values(Schema(tuple(f"c{i}" for i in range(width))), rows, row_ids=row_ids)
     any_key = st.frozensets(st.integers(0, width - 1), min_size=1, max_size=3)
     keys = draw(st.lists(any_key, max_size=3))
     full = [j for j in range(width) if complete[j]]
     if full:
         keys += draw(st.lists(st.frozensets(st.sampled_from(full), min_size=1, max_size=3), max_size=3))
-    return rel, KeySet(frozenset(keys or [draw(any_key)]))
+    keys = keys or [draw(any_key)]
+    # wild rows: each misses a cell of every key that has a column with missing cells
+    for i in draw(st.lists(st.integers(0, nrows - 1), max_size=2)) if nrows else ():
+        for key in keys:
+            if open_ := [j for j in sorted(key) if not complete[j]]:
+                rows[i][rnd.choice(open_)] = None
+    rel = Relation.from_values(Schema(tuple(f"c{i}" for i in range(width))), rows, row_ids=row_ids)
+    return rel, KeySet(frozenset(keys))
 
 
 _ONE_ROW = Relation.from_values(Schema.of("c0", "c1"), [("a", None)]), KeySet.of({0}, {1}, {0, 1})
@@ -623,16 +679,31 @@ _WIDE_SCHEMA = Schema(tuple(f"a{i}" for i in range(12)))
 def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
     """A 12-column key over the wide rows with 10% missing cells, plus the
     first 20 again: the class key outgrows the room ``_order`` needs for
-    its index bits, so ``_split`` re-densifies it twice per route, and
-    every ``_order`` call packs."""
+    its index bits, so ``_split`` re-densifies it twice, and every
+    ``_order`` call packs. ``satisfies`` refines nothing there, since a row
+    missing a cell of the only key is a witness; it re-densifies on rows
+    where each row is total on one of two keys."""
     rows = _wide_rows(0.1)
     rel = Relation.from_values(_WIDE_SCHEMA, rows + rows[:20])
     dense_calls, packed = _wide_key_sorts(monkeypatch, rel, KeySet.of(range(12)))
-    # per route: two re-densifies; the final sort calls _order directly
+    # violating_blocks: two re-densifies; the final sort calls _order directly
+    assert dense_calls == [2, 0]
+    # _split's two re-densifies, its final sort and its merge of the
+    # incomplete rows' copies; and the maximal-block filter's two
+    assert len(packed) == 6 and all(packed)
+
+    # 2% missing, and a 13th column missing exactly on the rows total on
+    # the first 12: the wide key has the fewer missing cells, so it goes
+    # first, and satisfies stops after it, on the twins missing a12
+    monkeypatch.undo()
+    rows = [(*row, None if None not in row else "x") for row in _wide_rows(0.02)]
+    rel = Relation.from_values(Schema(tuple(f"a{i}" for i in range(13))), rows + rows[:20])
+    assert validation._plan(rel, KeySet.of(range(12), {12})) == [frozenset(range(12)), frozenset({12})]
+    dense_calls, packed = _wide_key_sorts(monkeypatch, rel, KeySet.of(range(12), {12}))
     assert dense_calls == [2, 2]
-    # per route, _split's two re-densifies, its final sort and its merge
-    # of the incomplete rows' copies; and the maximal-block filter's two
-    assert len(packed) == 10 and all(packed)
+    # per route, the wide round's four as above; violating_blocks then {a12}'s
+    # sort and merge, and the filter's two
+    assert len(packed) == 12 and all(packed)
 
 
 def test_total_wide_key_re_densifies_and_stays_packed(monkeypatch):
