@@ -50,7 +50,7 @@ def main():
         print(f"  {text}: {verdict}")
 
     # The two routes must always agree: the naive route compares every
-    # pair of rows, the block route refines hash partitions per key.
+    # pair of rows, the block route sorts the rows' codes, round by round.
     ks = parse_keyset("{{room,time}}", ward.schema)
     naive = violating_tuples_naive(ward, ks)
     blocks = violating_blocks(ward, ks)

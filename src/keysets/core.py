@@ -158,12 +158,6 @@ class Row:
     row_id: int
     values: tuple[str | None, ...]
 
-    def is_total(self, attrs: AttrSet) -> bool:
-        return all(self.values[a] is not None for a in attrs)
-
-    def projection(self, attrs: AttrSet) -> tuple[str | None, ...]:
-        return tuple(self.values[a] for a in sorted(attrs))
-
 
 @dataclass(frozen=True, eq=False)
 class Relation:

@@ -62,9 +62,11 @@ Two independent routes compute which rows take part in a violation:
   The final state then keeps only its maximal blocks. When no row is in
   two blocks every block is maximal and the filter returns at once.
   Otherwise each block is compared only with the larger blocks that hold
-  its rarest row, the member in the fewest blocks, by array lookups of
-  its other members, so the filter's cost follows the overlap of the
-  blocks rather than the square of their number.
+  its rarest row, the member in the fewest blocks, and whose row
+  signature covers its own. Every such pair is checked in one pass that
+  looks up all of the block's members in the larger block, so the
+  filter's cost follows the overlap of the blocks rather than the square
+  of their number.
 
 Both routes read ``Relation.codes``, the relation's storage, which
 :meth:`Relation.from_values` (and so ``load_csv``) builds at ingest;
@@ -95,9 +97,10 @@ __all__ = [
 # Most (block, row) members one refinement state may hold. The largest
 # state a test, a demo or the benchmark builds has 334,504.
 BLOCK_ROW_CAP = 5_000_000
-# About the most (block, block on its rarest row) pairs the maximal-block
-# filter builds at once; it bounds the filter's work arrays.
-_PAIR_CHUNK = 1 << 15
+# About the most member lookups the maximal-block filter makes at once,
+# over its (block, block on the rarest row) pairs; it bounds the filter's
+# work arrays.
+_PAIR_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -276,12 +279,12 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
         i = np.flatnonzero(~total)
         i_blk, i_pos = blk[i], pos[i]
         copies = per_block[i_blk]
-        class_start = np.cumsum(per_block) - per_block
-        c_cls = np.repeat(class_start[i_blk], copies) + _within(copies)
         orphan = copies == 0
         size = len(new_pos) + int(copies.sum()) + int(np.count_nonzero(orphan))
         if size > BLOCK_ROW_CAP:
             raise ResourceLimit("block rows", size, BLOCK_ROW_CAP)
+        class_start = np.cumsum(per_block) - per_block
+        c_cls = np.repeat(class_start[i_blk], copies) + _within(copies)
         o_cls = np.cumsum(_change(i_blk[orphan])) - 1 + per_block.sum()
         cls = np.concatenate((cls, c_cls, o_cls))
         new_pos = np.concatenate((new_pos, np.repeat(i_pos, copies), i_pos[orphan]))
@@ -389,23 +392,25 @@ def _maximal_only(blk: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray,
     """Drop every block of a state that a larger block contains.
 
     A block holding all of ``b``'s rows holds its rarest row, the member of
-    ``b`` in the fewest blocks, so ``b`` is paired only with the larger
-    blocks on that row whose row signature covers ``b``'s. Each round then
-    looks up the next member of ``b``, rarest first, in every live pair's
-    larger block; a pair ends at its first miss or once every member was
-    found. Pairs are made a chunk of candidates at a time. Equal blocks never
-    drop each other: only a hash collision in :func:`_merge_identical` leaves
-    any, and :class:`BlockSet`'s frozenset drops them.
+    ``b`` in the fewest blocks (the lowest position on ties), so ``b`` is
+    paired only with the larger blocks on that row whose row signature
+    covers ``b``'s. All pairs are then checked in one membership pass:
+    every member of ``b`` is looked up in the larger block, and ``b`` is
+    dropped when all are found. Pairs are made a chunk of candidates at a
+    time, of at most :data:`_PAIR_CHUNK` lookups or a single candidate's.
+    A candidate takes ``count[rare] * |b|`` lookups, at most the sum of
+    its members' counts and so at most the state's rows, so no chunk
+    outgrows :data:`BLOCK_ROW_CAP`. Equal blocks never drop each other:
+    only a hash collision in :func:`_merge_identical` leaves any, and
+    :class:`BlockSet`'s frozenset drops them.
     """
     count = np.bincount(pos, minlength=n)
     if count.max(initial=0) < 2:
         return blk, pos  # no row is in two blocks, so none holds another
     starts = _starts(blk)
     sizes = np.diff(starts, append=len(pos))
-    # each block's members, rarest first
-    ranks = int(count.max()) + 1
-    ranked = pos[_order(blk * ranks + count[pos], len(starts) * ranks)[1]]
-    rare = ranked[starts]
+    # each block's rarest row, the lowest position on ties
+    rare = np.minimum.reduceat(count[pos] * n + pos, starts) % n
     # inverted index: the blocks on each row, ascending, row after row
     on_row = blk[_order(pos, n)[1]]
     row_start = np.cumsum(count) - count
@@ -415,25 +420,21 @@ def _maximal_only(blk: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray,
     sig = np.bitwise_or.reduceat(np.uint64(1) << (_mix(pos) & np.uint64(63)), starts)
     cand = np.flatnonzero(count[rare] > 1)
     pairs = count[rare[cand]]
-    ends = np.cumsum(pairs)
+    lookups = pairs * sizes[cand]
+    ends = np.cumsum(lookups)
     drop = np.zeros(len(starts), dtype=bool)
     lo = 0
     while lo < len(cand):
-        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - pairs[lo] + _PAIR_CHUNK, side="right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - lookups[lo] + _PAIR_CHUNK, side="right")))
         k = pairs[lo:hi]
         b = np.repeat(cand[lo:hi], k)
         o = on_row[np.repeat(row_start[rare[cand[lo:hi]]], k) + _within(k)]
         larger = (sizes[o] > sizes[b]) & (sig[b] & ~sig[o] == 0)
         b, o = b[larger], o[larger]
-        nxt = starts[b] + 1
-        end = starts[b] + sizes[b]
-        while len(b):
-            q = o * n + ranked[nxt]
-            hit = key[np.searchsorted(key, q)] == q
-            nxt += 1
-            drop[b[hit & (nxt == end)]] = True
-            go = hit & (nxt < end)
-            b, o, nxt, end = b[go], o[go], nxt[go], end[go]
+        width = sizes[b]
+        q = np.repeat(o * n, width) + pos[np.repeat(starts[b], width) + _within(width)]
+        found = key[np.searchsorted(key, q)] == q
+        drop[b[np.logical_and.reduceat(found, np.cumsum(width) - width)]] = True
         lo = hi
     return _drop_blocks(blk, pos, drop)
 

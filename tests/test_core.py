@@ -23,7 +23,6 @@ from keysets import (
     ParseError,
     Relation,
     ResourceLimit,
-    Row,
     Schema,
     block_trace,
     derive_keyset,
@@ -192,14 +191,6 @@ def test_attr_sort_key():
 # Rows and relations.
 
 
-def test_row_totality_and_projection():
-    row = Row(7, ("1", None, "x"))
-    assert row.is_total(frozenset({0, 2}))
-    assert not row.is_total(frozenset({1}))
-    assert row.is_total(frozenset())
-    assert row.projection(frozenset({2, 0})) == ("1", "x")
-
-
 def test_relation_from_values_defaults(ward_schema):
     rel = Relation.from_values(ward_schema, [("1", "a", "b", "c", "d")])
     assert rel.rows[0].row_id == 0
@@ -335,9 +326,9 @@ def test_empty_attr_set_never_separates(hospital):
 
 
 def test_is_x_total(hospital):
-    t2 = by_id(hospital)[2]
-    assert t2.is_total(frozenset({0, 3}))
-    assert not t2.is_total(frozenset({0, 1}))
+    values = by_id(hospital)[2].values
+    assert None not in (values[0], values[3])
+    assert None in (values[0], values[1])
 
 
 def test_pair_violates_ward(ward):
@@ -530,7 +521,8 @@ def test_pair_separation_definitional(rel, data):
         return
     t, t2 = rel.rows[0], rel.rows[1]
     attrs = data.draw(st.frozensets(st.integers(0, len(rel.schema) - 1), max_size=4))
-    expected = t.is_total(attrs) and t2.is_total(attrs) and t.projection(attrs) != t2.projection(attrs)
+    cells, cells2 = ([row.values[a] for a in attrs] for row in (t, t2))
+    expected = None not in cells + cells2 and cells != cells2
     assert pair_separated_by(t, t2, attrs) == expected
     assert pair_separated_by(t2, t, attrs) == pair_separated_by(t, t2, attrs)
 

@@ -11,6 +11,7 @@ import contextlib
 import itertools
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from keysets import (
     BlockSet,
     KeySet,
     Relation,
+    ResourceLimit,
     Schema,
     block_trace,
     gen_random_keyset,
@@ -317,10 +319,14 @@ def test_maximal_filter_cases(pair, raw, maximal):
 @example(_CHAIN)
 @example(_EQUAL_SIZE)
 def test_maximal_filter_matches_reference(pair):
+    """The filter against the reference, in chunks of one candidate, of a
+    few lookups, and of the default size."""
     rel, ks = pair
-    blocks = violating_blocks(rel, ks)
-    assert blocks == BlockSet(reference_maximal_only(block_trace(rel, ks)[-1].blocks))
-    assert blocks.row_ids == violating_tuples_naive(rel, ks)
+    expected = BlockSet(reference_maximal_only(block_trace(rel, ks)[-1].blocks))
+    assert expected.row_ids == violating_tuples_naive(rel, ks)
+    for chunk in (1, 3, validation._PAIR_CHUNK):
+        with mock.patch.object(validation, "_PAIR_CHUNK", chunk):
+            assert violating_blocks(rel, ks) == expected
 
 
 def test_two_thousand_rows_with_nulls():
@@ -336,6 +342,28 @@ def test_two_thousand_rows_with_nulls():
     assert time.perf_counter() - started < 20.0
     assert len(blocks) == 30_296
     assert blocks.row_ids == violating_tuples_naive(rel, x1)
+
+
+def test_block_row_cap_fires_before_the_copies_exist():
+    """5,000 distinct total rows and 1,100 rows missing ``b``, under
+    {{a,b}}: each incomplete row would be copied into all 5,000 classes,
+    5,505,000 block rows in all. The cap raises before any copy is made,
+    so the call allocates a small fraction of the 5.5 M copies' arrays.
+    ``satisfies`` answers from the wild rows without refining."""
+    rows = [(str(i), "x") for i in range(5000)] + [(str(i), None) for i in range(1100)]
+    rel = Relation.from_values(Schema.of("a", "b"), rows)
+    ks = KeySet.of({0, 1})
+    for fn in (violating_blocks, block_trace):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit) as info:
+                fn(rel, ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (info.value.limit, info.value.size, info.value.cap) == ("block rows", 5_505_000, 5_000_000)
+        assert peak < 16 << 20
+    assert satisfies(rel, ks) is False
 
 
 # --------------------------------------------------------------------------
@@ -689,8 +717,8 @@ def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
     # violating_blocks: two re-densifies; the final sort calls _order directly
     assert dense_calls == [2, 0]
     # _split's two re-densifies, its final sort and its merge of the
-    # incomplete rows' copies; and the maximal-block filter's two
-    assert len(packed) == 6 and all(packed)
+    # incomplete rows' copies; and the maximal-block filter's one
+    assert len(packed) == 5 and all(packed)
 
     # 2% missing, and a 13th column missing exactly on the rows total on
     # the first 12: the wide key has the fewer missing cells, so it goes
@@ -702,8 +730,8 @@ def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
     dense_calls, packed = _wide_key_sorts(monkeypatch, rel, KeySet.of(range(12), {12}))
     assert dense_calls == [2, 2]
     # per route, the wide round's four as above; violating_blocks then {a12}'s
-    # sort and merge, and the filter's two
-    assert len(packed) == 12 and all(packed)
+    # sort and merge, and the filter's one
+    assert len(packed) == 11 and all(packed)
 
 
 def test_total_wide_key_re_densifies_and_stays_packed(monkeypatch):
