@@ -35,7 +35,6 @@ from .armstrong import anti_keys, armstrong_chain
 from .bench import format_table, gen_random_keyset, gen_sequential_keysets, reports_to_jsonl, run_bench
 from .core import (
     KeySet,
-    ParseError,
     ResourceLimit,
     Schema,
     format_attr_set,
@@ -333,7 +332,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_PIPE
-    except (ResourceLimit, ParseError, IngestError, OSError, ValueError) as exc:
+    except (ResourceLimit, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP if isinstance(exc, ResourceLimit) else EXIT_USAGE
 

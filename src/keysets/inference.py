@@ -267,7 +267,7 @@ def first_invalid_step(d: Derivation) -> int | None:
         try:
             inputs = [_resolve(d, derived, ref, i) for ref in step.refs]
             result = _apply_step(step.rule, inputs, step.params)
-        except (RuleError, ValueError):
+        except ValueError:
             return i
         if result != step.conclusion:
             return i

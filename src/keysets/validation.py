@@ -48,15 +48,15 @@ Two independent routes compute which rows take part in a violation:
   rounds that each fit one packed sort. Such rounds only partition
   blocks by projection and copy no row, and partitions compose into the
   partition by the union in any grouping and order. The keys with
-  missing cells follow, one round each: each incomplete row is copied
-  into every class of its block, so the keys with the fewest missing
-  cells go first, then the most distinct, then canonical order. The
-  answer does not depend on the plan: a maximal set of rows that no key
-  separates stays inside one block in any plan, since its total members
-  agree on each key and so on each column of a complete key, and its
-  incomplete members join every class; and every block is such a set or
-  inside one. So the final state's maximal blocks, and whether it is
-  empty, are the same in every plan. :func:`block_trace` refines key by
+  missing cells follow, one round each. Each incomplete row is copied
+  into every class of its block, so they go in ascending order of a
+  bound on their copies, missing cells times classes, then in canonical
+  order. The answer does not depend on the plan: a maximal set of rows
+  that no key separates stays inside one block in any plan, since its
+  total members agree on each key and so on each column of a complete
+  key, and its incomplete members join every class; and every block is
+  such a set or inside one. So the final state's maximal blocks, and
+  whether it is empty, are the same in every plan. :func:`block_trace` refines key by
   key, in canonical key order.
 
   The final state then keeps only its maximal blocks. When no row is in
@@ -189,12 +189,13 @@ def _drop_blocks(blk: np.ndarray, pos: np.ndarray, drop: np.ndarray) -> tuple[np
 
 
 def _merge_identical(blk: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop every block whose member set equals an earlier one.
+    """Drop every block whose member set equals another's.
 
-    Blocks with the same size and membership hash are candidates; each is
-    compared member by member with the first block of its run, so no two
-    different blocks are ever merged. (A hash collision can only leave a
-    duplicate in place, and :class:`BlockSet`'s frozenset drops it.)
+    Blocks are ordered by size and membership hash; each block with the
+    same size and hash as its predecessor is compared with it member by
+    member, so no two different blocks are ever merged. (A hash collision
+    can only leave a duplicate in place, and :class:`BlockSet`'s
+    frozenset drops it.)
     """
     starts = _starts(blk)
     sizes = np.diff(starts, append=len(pos))
@@ -203,12 +204,11 @@ def _merge_identical(blk: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.n
     run = _change(sizes[order]) | _change(hashes[order])
     if run.all():
         return blk, pos
-    head = np.empty_like(order)
-    head[order] = order[np.maximum.accumulate(np.where(run, np.arange(len(order)), 0))]
-    cand = np.flatnonzero(head != np.arange(len(head)))
+    dup = np.flatnonzero(~run)
+    cand, prev = order[dup], order[dup - 1]
     width = sizes[cand]
     within = _within(width)
-    equal = pos[np.repeat(starts[cand], width) + within] == pos[np.repeat(starts[head[cand]], width) + within]
+    equal = pos[np.repeat(starts[cand], width) + within] == pos[np.repeat(starts[prev], width) + within]
     drop = np.zeros(len(starts), dtype=bool)
     drop[cand[np.logical_and.reduceat(equal, np.cumsum(width) - width)]] = True
     return _drop_blocks(blk, pos, drop)
@@ -339,11 +339,12 @@ def _plan(relation: Relation, ks: KeySet) -> list[AttrSet]:
     greedily into rounds whose product of dictionary sizes fits one
     packed sort of every row (:func:`_order`).
 
-    The keys with missing cells follow, each as one round: the fewest
-    missing cells in their columns first (:attr:`Relation.null_counts`),
-    since each incomplete row is copied into every class of its block;
-    then the most distinct values, estimated as the product of the key's
-    dictionary sizes capped at the row count; then canonical order.
+    The keys with missing cells follow, each as one round. Each
+    incomplete row is copied into every class of its block, so such a
+    round makes at most its missing cells (:attr:`Relation.null_counts`)
+    times its classes, which are at most the product of its columns'
+    dictionary sizes and at most the row count. The rounds go in
+    ascending order of that bound, ties in canonical order.
     """
     nulls = relation.null_counts
     sizes = [len(d) for d in relation.dictionaries]
@@ -353,7 +354,7 @@ def _plan(relation: Relation, ks: KeySet) -> list[AttrSet]:
     for key in ks.keys:
         missing = sum(nulls[a] for a in key)
         if missing:
-            partial.append((missing, -min(math.prod(sizes[a] for a in key), rows), attr_sort_key(key), key))
+            partial.append((missing * min(math.prod(sizes[a] for a in key), rows), attr_sort_key(key), key))
         else:
             columns |= key
     room = 1 << (63 - rows.bit_length())
@@ -454,23 +455,22 @@ def violating_blocks(relation: Relation, ks: KeySet) -> BlockSet:
     return _blockset(relation, *_maximal_only(*state, len(relation)))
 
 
-def _wild(relation: Relation, rounds: list[AttrSet]) -> list[np.ndarray]:
-    """For each round with missing cells, the rows that miss a cell of it
-    and of every round after it.
+def _wild(relation: Relation, rounds: list[AttrSet]) -> dict[int, np.ndarray]:
+    """``{t: mask}``: the rows that miss a cell of round ``t`` and of
+    every round after it.
 
-    Entry ``i`` belongs to round ``len(rounds) - len(result) + i``. Only the
-    tail of ``rounds`` whose keys have missing cells is covered: a round of
-    complete columns makes no row incomplete, and :func:`_plan` puts those
-    first, so a total relation gets no mask.
+    Only the tail of ``rounds`` whose keys have missing cells gets a mask:
+    a round of complete columns makes no row incomplete, and :func:`_plan`
+    puts those first, so a total relation gets none.
     """
     codes, nulls = relation.codes, relation.null_counts
-    masks: list[np.ndarray] = []
-    for key in reversed(rounds):
-        if not any(nulls[c] for c in key):
+    wild: dict[int, np.ndarray] = {}
+    for t in reversed(range(len(rounds))):
+        if not any(nulls[c] for c in rounds[t]):
             break
-        missing = np.logical_or.reduce([codes[:, c] < 0 for c in key])
-        masks.append(missing & masks[-1] if masks else missing)
-    return masks[::-1]
+        missing = np.logical_or.reduce([codes[:, c] < 0 for c in rounds[t]])
+        wild[t] = missing & wild.get(t + 1, True)
+    return wild
 
 
 def satisfies(relation: Relation, ks: KeySet) -> bool:
@@ -479,23 +479,22 @@ def satisfies(relation: Relation, ks: KeySet) -> bool:
     Refines in the rounds :func:`violating_blocks` uses and stops at the
     first empty state; whether one is reached does not depend on the plan.
     It answers ``False`` as soon as a state holds a wild row, one that
-    misses a cell of every round still to come, and before any round when
-    no round is complete and some row misses a cell of every key. That is
-    sound: each block holds two or more rows that no round so far
-    separates, and a key separates two rows only when both are total on
-    it, so no later round separates the wild row from the others of its
-    block.
+    misses a cell of every round still to come (:func:`_wild` maps each
+    round to those rows), and before any round when no round is complete
+    and some row misses a cell of every key. That is sound: each block
+    holds two or more rows that no round so far separates, and a key
+    separates two rows only when both are total on it, so no later round
+    separates the wild row from the others of its block.
     """
     _check_fits(relation, ks)
     rounds = _plan(relation, ks)
     wild = _wild(relation, rounds)
-    first = len(rounds) - len(wild)  # wild[t - first] is checked before round t
-    if first == 0 and len(relation) > 1 and wild[0].any():
+    if 0 in wild and len(relation) > 1 and wild[0].any():
         return False
     for t, (_, pos) in enumerate(_refine(relation, rounds), start=1):
         if not len(pos):
             return True
-        if first <= t < len(rounds) and wild[t - first][pos].any():
+        if t in wild and wild[t][pos].any():
             return False
     return False
 

@@ -327,6 +327,14 @@ def test_schema_name_with_a_line_break_is_refused(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def test_schema_file_with_a_blank_first_record_is_refused(tmp_path, sigma_file, capsys):
+    """A schema CSV whose header is blank is an input error naming the file."""
+    data = tmp_path / "blank.csv"
+    data.write_text("\na,b\n1,2\n", encoding="utf-8")
+    assert run_cli(["implies", "--schema", str(data), "--sigma", sigma_file, "--phi", "{{a}}"]) == 2
+    assert capsys.readouterr() == ("", f"error: {data}: the first record is blank\n")
+
+
 def test_long_inline_schema_is_parsed(capsys):
     """A list longer than a file name may be is still a list, not an
     error from the file system."""

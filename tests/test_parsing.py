@@ -189,6 +189,18 @@ def test_derivation_text_matches_reference(made, data):
     assert outcome(parse_derivation, bad) == outcome(reference_parse_derivation, bad)
 
 
+def test_empty_choice_entries_are_skipped():
+    """A composition's choice list may hold empty entries between its
+    semicolons; both parsers skip them, and the derivation still checks."""
+    text = (
+        "schema: a,b\npremise 0: {{a,b}}\n"
+        "0: NaryComposition from p0 with {a,b}->{a,b}; ; => {{a,b}}\nconclusion: {{a,b}}\n"
+    )
+    parsed = parse_derivation(text)
+    assert parsed == reference_parse_derivation(text) == parse_derivation(text.replace("; ;", ""))
+    assert check_derivation(parsed[0])
+
+
 # --------------------------------------------------------------------------
 # Fuzzing: arbitrary text yields a value or a ParseError.
 

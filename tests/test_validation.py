@@ -369,7 +369,7 @@ def test_block_row_cap_fires_before_the_copies_exist():
 # --------------------------------------------------------------------------
 # Plan: violating_blocks and satisfies refine the complete columns first,
 # most distinct first in packed rounds, then the keys with missing cells,
-# fewest missing first.
+# fewest row copies first.
 
 
 def _spy_refine(monkeypatch) -> list[list]:
@@ -515,7 +515,8 @@ def test_plan_refines_complete_columns_first(monkeypatch):
     """On the graded wide rows plus a column missing every third cell (7
     values) and one missing every fifth (11 values), the complete keys
     come first as one round of their columns; the keys with missing cells
-    follow, fewest missing first, then most distinct first."""
+    follow, fewest row copies first: missing cells times value combinations
+    capped at the row count."""
     rows = [
         (*row, None if i % 3 == 0 else str(i % 7), None if i % 5 == 0 else str(i % 11))
         for i, row in enumerate(_graded_wide_rows())
@@ -524,9 +525,10 @@ def test_plan_refines_complete_columns_first(monkeypatch):
     assert rel.null_counts == (0,) * 10 + (100, 60)
     runs = _spy_refine(monkeypatch)
     cases = [
-        # {a0, a11} has 60 missing cells; {a2, a10} and {a10} tie at 100, and
-        # {a2, a10} has more value combinations
-        (KeySet.of({10}, {0, 11}, {1}, {2, 10}, {3}), [{1, 3}, {0, 11}, {2, 10}, {10}]),
+        # {a10} costs 100 * 7 = 700, {a0, a11} 60 * 300 = 18,000 and
+        # {a2, a10} 100 * 300 = 30,000
+        (KeySet.of({10}, {0, 11}, {1}, {2, 10}, {3}), [{1, 3}, {10}, {0, 11}, {2, 10}]),
+        # {a11} costs 60 * 11 = 660
         (KeySet.of({10}, {11}, {4, 5}, {0}), [{0, 4, 5}, {11}, {10}]),
     ]
     for ks, rounds in cases:
@@ -617,7 +619,8 @@ def test_mixed_relations_match_the_oracles(pair):
 def test_fewest_missing_first_cuts_the_refinement_work(monkeypatch):
     """Rows summed over every refinement state of X_1..X_8 on 320 rows with
     30% missing: block_trace refines in canonical order, violating_blocks
-    fewest-missing-first. Both counts are exact pins of the work."""
+    fewest row copies first, which with 4 values in every column is fewest
+    missing first. Both counts are exact pins of the work."""
     schema = Schema(tuple(f"a{i}" for i in range(8)))
     rel = synthetic_relation(schema, 320, 0.3, seed=1)
     family = gen_sequential_keysets(schema)
@@ -633,6 +636,31 @@ def test_fewest_missing_first_cuts_the_refinement_work(monkeypatch):
     # X_3 = {{a0,a1,a2},{a3},...,{a7}}: the singletons, fewest nulls first, then the big key
     nulls = rel.null_counts
     assert runs[2][0] == [*sorted(family[2].sorted_keys[1:], key=lambda k: nulls[min(k)]), frozenset({0, 1, 2})]
+
+
+def test_fewest_copies_first_answers_under_the_cap(monkeypatch):
+    """2,000 rows x 8 columns of 2 to 2,000 drawn values, 15% missing,
+    under X_1. Ranking the keys by missing cells alone starts with a2, 266
+    missing cells over 1,173 values, and a later round would hold 7,898,485
+    block rows, past the cap. Ranked by missing cells times values (capped
+    at the row count), the plan starts with a6, of 2 values, and no state
+    outgrows 53,788 rows."""
+    rng = np.random.default_rng(28)
+    cols = []
+    for card in (5000, 10, 5000, 300, 10, 3, 2, 5000):
+        values = rng.integers(0, min(card, 2000), 2000)
+        missing = rng.random(2000) < 0.15
+        cols.append([None if m else str(v) for v, m in zip(values.tolist(), missing.tolist())])
+    rel = Relation.from_values(Schema(tuple(f"A{i}" for i in range(8))), list(zip(*cols)))
+    x1 = gen_sequential_keysets(rel.schema)[0]
+    runs = _spy_refine(monkeypatch)
+    blocks = violating_blocks(rel, x1)
+    assert runs[0][0][0] == frozenset({6})
+    assert blocks.row_ids == violating_tuples_naive(rel, x1)
+    assert (len(blocks.row_ids), len(blocks)) == (288, 414)
+    assert not satisfies(rel, x1)
+    # rows summed over the plan's states, an exact pin of the work
+    assert runs[0][1] == 101_428
 
 
 def test_most_distinct_first_cuts_the_refinement_work(monkeypatch):
@@ -720,11 +748,14 @@ def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
     # incomplete rows' copies; and the maximal-block filter's one
     assert len(packed) == 5 and all(packed)
 
-    # 2% missing, and a 13th column missing exactly on the rows total on
-    # the first 12: the wide key has the fewer missing cells, so it goes
-    # first, and satisfies stops after it, on the twins missing a12
+    # 1% missing, and a 13th column of distinct values missing on every
+    # second row total on the first 12: the wide key would copy the fewer
+    # rows, so it goes first, and satisfies stops after it, on the twins
+    # missing a12
     monkeypatch.undo()
-    rows = [(*row, None if None not in row else "x") for row in _wide_rows(0.02)]
+    rows = _wide_rows(0.01)
+    gaps = set([i for i, row in enumerate(rows) if None not in row][::2])
+    rows = [(*row, None if i in gaps else f"v{i}") for i, row in enumerate(rows)]
     rel = Relation.from_values(Schema(tuple(f"a{i}" for i in range(13))), rows + rows[:20])
     assert validation._plan(rel, KeySet.of(range(12), {12})) == [frozenset(range(12)), frozenset({12})]
     dense_calls, packed = _wide_key_sorts(monkeypatch, rel, KeySet.of(range(12), {12}))
