@@ -29,7 +29,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TextIO, TypeVar
 
 from .armstrong import anti_keys, armstrong_chain
 from .bench import format_table, gen_random_keyset, gen_sequential_keysets, reports_to_jsonl, run_bench
@@ -51,6 +51,8 @@ from .validation import violating_blocks, violating_tuples_naive
 
 __all__ = ["main", "run_cli"]
 
+T = TypeVar("T")
+
 EXIT_OK = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
@@ -63,14 +65,22 @@ def _resolve_schema(spec: str) -> Schema:
     too long to be a path is a list (``os.path.isfile`` is then false)."""
     if not os.path.isfile(spec):
         return parse_schema(spec)
-    try:
-        return read_schema(spec)
-    except IngestError as exc:
-        raise IngestError(f"{spec}: {exc}") from None
+    return _read(spec, read_schema)
+
+
+def _read(path: str, parse: Callable[[TextIO], T]) -> T:
+    """``parse`` of the file at ``path``, opened as UTF-8 with any leading
+    byte-order mark dropped and line ends as written. An error in the
+    file's content, such as a byte that is not UTF-8, names the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            return parse(fh)
+        except ValueError as exc:
+            raise IngestError(f"{path}: {exc}") from None
 
 
 def _read_keyset_family(path: str, schema: Schema):
-    family = parse_keyset_lines(Path(path).read_text(encoding="utf-8"), schema)
+    family = _read(path, lambda fh: parse_keyset_lines(fh.read(), schema))
     if not family:
         raise IngestError(f"{path}: no key sets found")
     return family
@@ -93,8 +103,13 @@ def _add_ingest_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-header", action="store_true", help="csv has no header row")
 
 
+def _load_data(args: argparse.Namespace):
+    config = _ingest_config(args)
+    return _read(args.data, lambda fh: load_csv(fh, config))
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
-    relation = load_csv(args.data, _ingest_config(args))
+    relation = _load_data(args)
     schema = relation.schema
     if args.keyset is not None:
         keysets = (parse_keyset(args.keyset, schema),)
@@ -131,7 +146,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_implies(args: argparse.Namespace) -> int:
     schema = _resolve_schema(args.schema)
-    sigma = parse_keyset_lines(Path(args.sigma).read_text(encoding="utf-8"), schema)
+    sigma = _read(args.sigma, lambda fh: parse_keyset_lines(fh.read(), schema))
     phi = parse_keyset(args.phi, schema)
     decision = implies(ImplicationInstance(schema, sigma, phi))
     if decision.implied:
@@ -151,7 +166,7 @@ def _cmd_implies(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_proof(args: argparse.Namespace) -> int:
-    derivation, _ = parse_derivation(Path(args.derivation).read_text(encoding="utf-8"))
+    derivation, _ = _read(args.derivation, lambda fh: parse_derivation(fh.read()))
     bad = first_invalid_step(derivation)
     if bad is None:
         print(f"valid ({len(derivation.steps)} steps)")
@@ -215,7 +230,7 @@ def _cmd_gen_keysets(args: argparse.Namespace) -> int:
 
 
 def _cmd_from_3sat(args: argparse.Namespace) -> int:
-    formula = parse_dimacs(Path(args.dimacs).read_text(encoding="utf-8"))
+    formula = _read(args.dimacs, lambda fh: parse_dimacs(fh.read()))
     inst = from_3sat(formula)
     print("schema: " + format_schema(inst.schema))
     for ks in inst.sigma:
@@ -225,7 +240,7 @@ def _cmd_from_3sat(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    relation = load_csv(args.data, _ingest_config(args))
+    relation = _load_data(args)
     keysets = _generated_keysets(args, relation.schema)
     algos = ("naive", "linear") if args.algo == "both" else (args.algo,)
     reports = []

@@ -306,12 +306,14 @@ def simulate_nary(
     """Replay an n-ary Composition using binary Composition steps only,
     plus at most one final Upward closure.
 
-    The conclusion is ``T = apply_composition(family, choice)``. For
-    n >= 3 the current key set starts as premise 0 and is composed with
+    The conclusion is ``T = apply_composition(family, choice)``. Two
+    premises take one binary composition under the table itself. Otherwise
+    the current key set starts as premise 0 and is composed with
     premises 1, ..., n-1, 0, 1, ... in turn, at least n - 1 times, until
-    every current key is in T. The choice reads only T: for a current key
-    W and a premise key y, z(W, y) is the first Z of T in canonical order
-    with y <= Z <= W | y. W stays, as one entry (W,) -> W, if it is in T
+    every current key is in T; a single premise is T itself, so it takes
+    none. The choice reads only T: for a current key W and a premise key
+    y, z(W, y) is the first Z of T in canonical order with
+    y <= Z <= W | y. W stays, as one entry (W,) -> W, if it is in T
     or if some premise key y inside W has no z(W, y); else each pair
     (W, y) goes to z(W, y), or to W | y when there is none.
 
@@ -338,9 +340,6 @@ def simulate_nary(
     family = tuple(family)
     n = len(family)
     target = apply_composition(family, choice)
-    if n == 1:
-        return Derivation(family, (), target)
-
     steps: list[DerivationStep] = []
 
     def add_composition(
@@ -538,10 +537,10 @@ def _parse_params(
     if rule == RULE_REFINEMENT:
         halves = _split_quoted(text, "->")
         if len(halves) != 2:
-            raise ParseError(f"line {lineno}: refinement parameter needs one '->'", lineno)
+            raise ParseError("refinement parameter needs one '->'", lineno)
         sides = _split_quoted(halves[1], "|")
         if len(sides) != 2:
-            raise ParseError(f"line {lineno}: refinement split needs one '|'", lineno)
+            raise ParseError("refinement split needs one '|'", lineno)
         return RefinementParams(attr_set(halves[0]), attr_set(sides[0]), attr_set(sides[1]))
     if rule in (RULE_COMPOSITION, RULE_NARY):
         entries = []
@@ -551,11 +550,11 @@ def _parse_params(
                 continue
             halves = _split_quoted(part, "->")
             if len(halves) != 2:
-                raise ParseError(f"line {lineno}: choice entry needs one '->'", lineno)
+                raise ParseError("choice entry needs one '->'", lineno)
             combo = tuple(map(attr_set, _split_quoted(halves[0], "|")))
             entries.append((combo, attr_set(halves[1])))
         return CompositionParams(tuple(entries))
-    raise ParseError(f"line {lineno}: unknown rule {rule!r}", lineno)
+    raise ParseError(f"unknown rule {rule!r}", lineno)
 
 
 def parse_derivation(text: str) -> tuple[Derivation, Schema]:
@@ -569,50 +568,54 @@ def parse_derivation(text: str) -> tuple[Derivation, Schema]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if conclusion is not None:
-            raise ParseError(f"line {lineno}: content after the conclusion line", lineno)
-        if line.startswith("schema:"):
-            if schema is not None:
-                raise ParseError(f"line {lineno}: duplicate schema line", lineno)
-            schema = parse_schema(line[len("schema:") :].strip())
-            continue
-        if schema is None:
-            raise ParseError(f"line {lineno}: schema line must come first", lineno)
-        if line.startswith("premise"):
-            m = _PREMISE_RE.match(line)
-            if not m or int(m.group(1)) != len(premises):
-                raise ParseError(f"line {lineno}: premises must be numbered in order", lineno)
-            if steps:
-                raise ParseError(f"line {lineno}: premise after a step line", lineno)
-            premises.append(_parse_sets(m.group(2), schema, memo, keyset=True))
-            continue
-        if line.startswith("conclusion:"):
-            conclusion = _parse_sets(line[len("conclusion:") :].strip(), schema, memo, keyset=True)
-            continue
-        m = _STEP_RE.match(line)
-        if not m:
-            raise ParseError(f"line {lineno}: unrecognized line", lineno)
-        if int(m.group(1)) != len(steps):
-            raise ParseError(f"line {lineno}: steps must be numbered in order", lineno)
-        rule = m.group(2)
-        rest = m.group(3)
-        with_split = _split_quoted(rest, " with ")
-        if len(with_split) < 2:
-            raise ParseError(f"line {lineno}: step line is missing ' with '", lineno)
-        refs_text = with_split[0]
-        tail = " with ".join(with_split[1:])
-        arrow_split = _split_quoted(tail, " => ")
-        if len(arrow_split) != 2:
-            raise ParseError(f"line {lineno}: step line needs exactly one ' => '", lineno)
-        refs = []
-        for piece in refs_text.split(","):
-            rm = _REF_RE.match(piece.strip())
-            if not rm:
-                raise ParseError(f"line {lineno}: bad reference {piece.strip()!r}", lineno)
-            refs.append((rm.group(1), int(rm.group(2))))
-        params = _parse_params(rule, arrow_split[0], schema, memo, lineno)
-        step_conclusion = _parse_sets(arrow_split[1].strip(), schema, memo, keyset=True)
-        steps.append(DerivationStep(rule, tuple(refs), params, step_conclusion))
+        try:
+            if conclusion is not None:
+                raise ParseError("content after the conclusion line", lineno)
+            if line.startswith("schema:"):
+                if schema is not None:
+                    raise ParseError("duplicate schema line", lineno)
+                schema = parse_schema(line[len("schema:") :].strip())
+                continue
+            if schema is None:
+                raise ParseError("schema line must come first", lineno)
+            if line.startswith("premise"):
+                m = _PREMISE_RE.match(line)
+                if not m or int(m.group(1)) != len(premises):
+                    raise ParseError("premises must be numbered in order", lineno)
+                if steps:
+                    raise ParseError("premise after a step line", lineno)
+                premises.append(_parse_sets(m.group(2), schema, memo, keyset=True))
+                continue
+            if line.startswith("conclusion:"):
+                conclusion = _parse_sets(line[len("conclusion:") :].strip(), schema, memo, keyset=True)
+                continue
+            m = _STEP_RE.match(line)
+            if not m:
+                raise ParseError("unrecognized line", lineno)
+            if int(m.group(1)) != len(steps):
+                raise ParseError("steps must be numbered in order", lineno)
+            rule = m.group(2)
+            rest = m.group(3)
+            with_split = _split_quoted(rest, " with ")
+            if len(with_split) < 2:
+                raise ParseError("step line is missing ' with '", lineno)
+            refs_text = with_split[0]
+            tail = " with ".join(with_split[1:])
+            arrow_split = _split_quoted(tail, " => ")
+            if len(arrow_split) != 2:
+                raise ParseError("step line needs exactly one ' => '", lineno)
+            refs = []
+            for piece in refs_text.split(","):
+                rm = _REF_RE.match(piece.strip())
+                if not rm:
+                    raise ParseError(f"bad reference {piece.strip()!r}", lineno)
+                refs.append((rm.group(1), int(rm.group(2))))
+            params = _parse_params(rule, arrow_split[0], schema, memo, lineno)
+            step_conclusion = _parse_sets(arrow_split[1].strip(), schema, memo, keyset=True)
+            steps.append(DerivationStep(rule, tuple(refs), params, step_conclusion))
+        except ParseError as exc:
+            # a fragment's errors carry its own position, a whole line's the line number
+            raise ParseError(f"line {lineno}: {exc.message}", exc.position) from None
     if schema is None:
         raise ParseError("missing schema line", 0)
     if conclusion is None:

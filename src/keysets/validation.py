@@ -16,17 +16,19 @@ Two independent routes compute which rows take part in a violation:
   linear in rows times total key size, up to the sort's log factor, for
   bounded block overlap. Each column is gathered from its contiguous
   column of the column-major code matrix, or read in place on the first
-  round. Every sort of a class or row key packs the key with its index
-  below it into one int64 and runs a plain ``np.sort``, about three
-  times faster than ``np.argsort``, and reads the sorted key back from
-  the high bits; the class key is re-densified whenever the next column
-  would leave too little room for the index bits. The one fallback, a
-  stable ``np.argsort``, runs only when a key still does not pack, which
-  on a total relation takes 2**21 rows and columns of as many values
-  (:func:`_order`). Each round sorts its class key once and reads the
-  new blocks off the sorted values: a member stays when it equals a
-  neighbour, which drops the singleton classes, and the changes of value
-  among the members kept number the blocks.
+  round. Every state is a list of distinct (block, row) pairs, and every
+  sort is of distinct pairs: it packs each pair into one int64, the
+  second value below the first, runs a plain ``np.sort``, about three
+  times faster than ``np.argsort``, and reads the sorted pairs back from
+  the high and the low bits, so no permutation is gathered after it. The
+  class key is re-densified whenever the next column would leave too
+  little room below it for a row position. The one fallback, an
+  ``np.lexsort``, runs only when a pair still does not pack, which on a
+  total relation takes more than 2**21 rows and columns of as many
+  values (:func:`_sort_pairs`). Each round sorts its (class key, row)
+  pairs once and reads the new blocks off the sorted keys: a member
+  stays when it equals a neighbour, which drops the singleton classes,
+  and the changes of value among the members kept number the blocks.
   :func:`block_trace` and :func:`satisfies` run the same refinement loop;
   ``satisfies`` stops at the first empty state, and answers ``False`` at
   the first state holding a wild row, one that misses a cell of every
@@ -156,29 +158,28 @@ def _within(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _order(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """``key`` sorted, and its stable sort order; its values lie in ``[0, bound)``.
+def _sort_pairs(hi: np.ndarray, hi_bound: int, lo: np.ndarray, lo_bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct pairs ``(hi[i], lo[i])``, with values in ``[0, hi_bound)``
+    and ``[0, lo_bound)``, sorted by ``hi``, then ``lo``.
 
-    Each value is packed with its index below it, ``key << shift | index``,
-    and sorted with a plain ``np.sort``, which is about three times faster
-    than ``np.argsort`` on int64; the high bits left after the sort are the
-    sorted key and the low bits the order, which breaks ties by position.
-    When ``bound`` leaves no room for the index bits in int64, a stable
-    ``np.argsort`` runs instead.
+    Each pair is packed into one int64, ``hi << bits | lo``, and sorted
+    with a plain ``np.sort``, which is about three times faster than
+    ``np.argsort`` on int64; the sorted pairs are read back from the high
+    and the low bits. When ``hi_bound`` leaves no room for ``lo``'s bits
+    in int64, ``np.lexsort`` sorts the pairs instead.
     """
-    m = len(key)
-    shift = m.bit_length()
-    if bound > 1 << (63 - shift):
-        order = np.argsort(key, kind="stable")
-        return key[order], order
-    packed = np.sort(key << shift | np.arange(m))
-    return packed >> shift, packed & ((1 << shift) - 1)
+    bits = max(lo_bound - 1, 1).bit_length()
+    if hi_bound > 1 << (63 - bits):
+        order = np.lexsort((lo, hi))
+        return hi[order], lo[order]
+    packed = np.sort(hi << bits | lo)
+    return packed >> bits, packed & ((1 << bits) - 1)
 
 
 def _dense(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort order of ``key`` (values below ``bound``, see
-    :func:`_order`) and its values' dense ranks in that order."""
-    values, order = _order(key, bound)
+    """Stable sort order of ``key`` (values below ``bound``) and its
+    values' dense ranks in that order."""
+    values, order = _sort_pairs(key, bound, np.arange(len(key)), len(key))
     return order, np.cumsum(_change(values)) - 1
 
 
@@ -230,11 +231,13 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
 
     Each key column is gathered from its contiguous column of ``codes``;
     on the first state, one block holding every row in order, it is read
-    in place. The class key is sorted once, and the classes are read off
-    the sorted values: a member is kept when it equals a neighbour, and the
-    kept members' changes of value number the new blocks. Only when some
-    member is incomplete are classes numbered for every member, since each
-    copy of an incomplete row needs the number of the class it joins.
+    in place. The (class key, row) pairs are sorted once
+    (:func:`_sort_pairs`), and the classes are read off the sorted keys: a
+    member is kept when it equals a neighbour, and the kept members'
+    changes of value number the new blocks. Only when some member is
+    incomplete are classes numbered for every member, since each copy of
+    an incomplete row needs the number of the class it joins; the copies
+    then join the members in one more sort of (class, row) pairs.
     """
     n = len(codes)
     nblocks = int(blk[-1]) + 1
@@ -252,13 +255,14 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
         t = np.flatnonzero(total)
         t_blk, t_pos, sub = blk[t], pos[t], [s[t] for s in sub]
     # class key: block id, then each key column, in mixed radix; re-densify
-    # whenever the next step would leave no room for _order's index bits.
-    # With one block the block id is 0 throughout, so the first column starts it.
+    # whenever the next step would leave no room below it for a row
+    # position, or for _dense's index. With one block the block id is 0
+    # throughout, so the first column starts it.
     if nblocks == 1:
         key, bound, sub = sub[0].astype(np.int64), int(sub[0].max(initial=0)) + 1, sub[1:]
     else:
         key, bound = t_blk.astype(np.int64), nblocks
-    room = 1 << (63 - len(key).bit_length())
+    room = 1 << (63 - max(n - 1, len(key) - 1, 1).bit_length())
     for s in sub:
         card = int(s.max(initial=0)) + 1
         if bound * card > room:
@@ -269,13 +273,14 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
         key *= card
         key += s
         bound *= card
-    # the stable sort keeps rows ascending inside each class
-    key, order = _order(key, bound)
-    new_pos = order if whole and all_total else t_pos[order]
+    # (class, row) pairs are distinct, since a block never holds a row
+    # twice; sorted, rows ascend inside each class
+    key, new_pos = _sort_pairs(key, bound, t_pos, n)
     if not all_total:
         start = _change(key)
         cls = np.cumsum(start) - 1
-        per_block = np.bincount(t_blk[order[start]], minlength=nblocks)
+        # the sort is block-major, so the i-th member is in block t_blk[i]
+        per_block = np.bincount(t_blk[start], minlength=nblocks)
         i = np.flatnonzero(~total)
         i_blk, i_pos = blk[i], pos[i]
         copies = per_block[i_blk]
@@ -288,8 +293,8 @@ def _split(codes: np.ndarray, blk: np.ndarray, pos: np.ndarray, overlap: bool, c
         o_cls = np.cumsum(_change(i_blk[orphan])) - 1 + per_block.sum()
         cls = np.concatenate((cls, c_cls, o_cls))
         new_pos = np.concatenate((new_pos, np.repeat(i_pos, copies), i_pos[orphan]))
-        order = _order(cls * n + new_pos, (int(cls.max()) + 1) * n)[1]
-        key, new_pos = cls[order], new_pos[order]
+        # a row joins each class at most once
+        key, new_pos = _sort_pairs(cls, int(cls.max()) + 1, new_pos, n)
     # a class of two or more rows is a run of equal neighbours
     same = key[1:] == key[:-1]
     kept = np.zeros(len(key), dtype=bool)
@@ -337,7 +342,7 @@ def _plan(relation: Relation, ks: KeySet) -> list[AttrSet]:
     complete keys may be refined as any rounds of their columns. The
     columns go most distinct first (dictionary sizes) and are grouped
     greedily into rounds whose product of dictionary sizes fits one
-    packed sort of every row (:func:`_order`).
+    packed sort of every row (:func:`_sort_pairs`).
 
     The keys with missing cells follow, each as one round. Each
     incomplete row is copied into every class of its block, so such a
@@ -413,7 +418,7 @@ def _maximal_only(blk: np.ndarray, pos: np.ndarray, n: int) -> tuple[np.ndarray,
     # each block's rarest row, the lowest position on ties
     rare = np.minimum.reduceat(count[pos] * n + pos, starts) % n
     # inverted index: the blocks on each row, ascending, row after row
-    on_row = blk[_order(pos, n)[1]]
+    on_row = _sort_pairs(pos, n, blk, len(starts))[1]
     row_start = np.cumsum(count) - count
     # the state's (block, row) pairs as sorted keys, and a sentinel past them
     key = np.append(blk * n + pos, len(starts) * n)

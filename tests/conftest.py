@@ -746,10 +746,22 @@ _STEP_RE = re.compile(r"^(\d+)\s*:\s*(\w+)\s+from\s+(.*)$")
 _REF_RE = re.compile(r"^([ps])(\d+)$")
 
 
+def _at_line(lineno: int, parse, *args):
+    """``parse(*args)``, a fragment of line ``lineno``; its ``ParseError``
+    is raised again under the line number, at the fragment's position."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc.message}", exc.position) from None
+
+
 def _reference_params(rule: str, text: str, schema: Schema, lineno: int):
+    def attr_set(part: str) -> frozenset[int]:
+        return _at_line(lineno, reference_parse_attr_set, part.strip(), schema)
+
     text = text.strip()
     if rule == RULE_UPWARD:
-        return UpwardClosureParams(reference_parse_keyset(text, schema))
+        return UpwardClosureParams(_at_line(lineno, reference_parse_keyset, text, schema))
     if rule == RULE_REFINEMENT:
         halves = reference_split_quoted(text, "->")
         if len(halves) != 2:
@@ -757,11 +769,7 @@ def _reference_params(rule: str, text: str, schema: Schema, lineno: int):
         sides = reference_split_quoted(halves[1], "|")
         if len(sides) != 2:
             raise ParseError(f"line {lineno}: refinement split needs one '|'", lineno)
-        return RefinementParams(
-            reference_parse_attr_set(halves[0].strip(), schema),
-            reference_parse_attr_set(sides[0].strip(), schema),
-            reference_parse_attr_set(sides[1].strip(), schema),
-        )
+        return RefinementParams(attr_set(halves[0]), attr_set(sides[0]), attr_set(sides[1]))
     if rule in (RULE_COMPOSITION, RULE_NARY):
         entries = []
         for part in reference_split_quoted(text, ";"):
@@ -771,11 +779,8 @@ def _reference_params(rule: str, text: str, schema: Schema, lineno: int):
             halves = reference_split_quoted(part, "->")
             if len(halves) != 2:
                 raise ParseError(f"line {lineno}: choice entry needs one '->'", lineno)
-            combo = tuple(
-                reference_parse_attr_set(p.strip(), schema)
-                for p in reference_split_quoted(halves[0], "|")
-            )
-            entries.append((combo, reference_parse_attr_set(halves[1].strip(), schema)))
+            combo = tuple(attr_set(p) for p in reference_split_quoted(halves[0], "|"))
+            entries.append((combo, attr_set(halves[1])))
         return CompositionParams(tuple(entries))
     raise ParseError(f"line {lineno}: unknown rule {rule!r}", lineno)
 
@@ -796,7 +801,7 @@ def reference_parse_derivation(text: str) -> tuple[Derivation, Schema]:
         if line.startswith("schema:"):
             if schema is not None:
                 raise ParseError(f"line {lineno}: duplicate schema line", lineno)
-            schema = reference_parse_schema(line[len("schema:") :].strip())
+            schema = _at_line(lineno, reference_parse_schema, line[len("schema:") :].strip())
             continue
         if schema is None:
             raise ParseError(f"line {lineno}: schema line must come first", lineno)
@@ -806,10 +811,10 @@ def reference_parse_derivation(text: str) -> tuple[Derivation, Schema]:
                 raise ParseError(f"line {lineno}: premises must be numbered in order", lineno)
             if steps:
                 raise ParseError(f"line {lineno}: premise after a step line", lineno)
-            premises.append(reference_parse_keyset(m.group(2), schema))
+            premises.append(_at_line(lineno, reference_parse_keyset, m.group(2), schema))
             continue
         if line.startswith("conclusion:"):
-            conclusion = reference_parse_keyset(line[len("conclusion:") :].strip(), schema)
+            conclusion = _at_line(lineno, reference_parse_keyset, line[len("conclusion:") :].strip(), schema)
             continue
         m = _STEP_RE.match(line)
         if not m:
@@ -833,7 +838,7 @@ def reference_parse_derivation(text: str) -> tuple[Derivation, Schema]:
                 raise ParseError(f"line {lineno}: bad reference {piece.strip()!r}", lineno)
             refs.append((rm.group(1), int(rm.group(2))))
         params = _reference_params(rule, arrow_split[0], schema, lineno)
-        step_conclusion = reference_parse_keyset(arrow_split[1].strip(), schema)
+        step_conclusion = _at_line(lineno, reference_parse_keyset, arrow_split[1].strip(), schema)
         steps.append(DerivationStep(rule, tuple(refs), params, step_conclusion))
     if schema is None:
         raise ParseError("missing schema line", 0)

@@ -266,7 +266,9 @@ def test_module_entry_points():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     for module in ("keysets", "keysets.cli"):
         argv = ["-m", module, "gen-keysets", "--schema", "a,b", "--mode", "sequential"]
-        done = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+        done = subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, encoding="utf-8", timeout=60
+        )
         assert (done.returncode, done.stdout) == (0, "{{a},{b}}\n{{a,b}}\n")
 
 
@@ -442,6 +444,41 @@ def test_check_proof_input_errors(tmp_path, capsys):
     bad.write_text("no schema here\n", encoding="utf-8")
     assert run_cli(["check-proof", "--derivation", str(bad)]) == 2
     capsys.readouterr()
+
+
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--data", "@bad", "--keyset", "{{a}}"], f"malformed csv: {_NOT_UTF8}"),
+        (["validate", "--data", "@ward", "--keyset-file", "@bad"], _NOT_UTF8),
+        (["bench", "--data", "@bad"], f"malformed csv: {_NOT_UTF8}"),
+        (["implies", "--schema", "a,b", "--sigma", "@bad", "--phi", "{{a}}"], _NOT_UTF8),
+        (["antikeys", "--schema", "a,b", "--sigma", "@bad"], _NOT_UTF8),
+        (["check-proof", "--derivation", "@bad"], _NOT_UTF8),
+        (["from-3sat", "--dimacs", "@bad"], _NOT_UTF8),
+    ],
+    ids=["data", "keyset-file", "bench-data", "sigma", "antikeys-sigma", "derivation", "dimacs"],
+)
+def test_input_file_errors_name_the_file(argv, message, ward_csv, tmp_path, capsys):
+    """An input file whose bytes are not UTF-8 is an input error that names
+    the file, whichever option reads it."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff{{a}}\n")
+    files = {"@bad": str(bad), "@ward": ward_csv}
+    assert run_cli([files.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+
+
+def test_check_proof_error_names_the_file_and_line(tmp_path, capsys):
+    """A bad key set inside a proof line names the file, the line and the
+    position inside the key set."""
+    path = tmp_path / "proof.txt"
+    path.write_text("schema: a,b\npremise 0: {{a}}\npremise 1: {{zz}}\nconclusion: {{a}}\n", encoding="utf-8")
+    assert run_cli(["check-proof", "--derivation", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: line 3: unknown attribute 'zz' (at position 2)\n")
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ are small mutations of them. Arbitrary text given to any parser must
 return a value or raise ``ParseError``, never another exception.
 """
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -199,6 +200,38 @@ def test_empty_choice_entries_are_skipped():
     parsed = parse_derivation(text)
     assert parsed == reference_parse_derivation(text) == parse_derivation(text.replace("; ;", ""))
     assert check_derivation(parsed[0])
+
+
+_PROOF_LINES = (
+    "schema: a,b",
+    "premise 0: {{a}}",
+    "0: UpwardClosure from p0 with {{b}} => {{a},{b}}",
+    "conclusion: {{a},{b}}",
+)
+
+
+@pytest.mark.parametrize(
+    "lineno, line, message, position",
+    [
+        (1, "schema: a,,b", "expected an attribute name", 2),
+        (2, "premise 0: {{zz}}", "unknown attribute 'zz'", 2),
+        (3, "0: UpwardClosure from p0 with {{c}} => {{a},{b}}", "unknown attribute 'c'", 2),
+        (3, "0: Refinement from p0 with {a}->{a}|{q} => {{a}}", "unknown attribute 'q'", 1),
+        (3, "0: UpwardClosure from p0 with {{b}} => {{a},{b}", "expected '}', found end of input", 8),
+        (4, "conclusion: {{a},{b},}", "expected '{', found '}'", 9),
+        # a whole-line error's position is the line number
+        (3, "0: UpwardClosure from q0 with {{b}} => {{a},{b}}", "bad reference 'q0'", 3),
+    ],
+    ids=["schema", "premise", "upward-closure", "refinement", "step-conclusion", "conclusion", "whole-line"],
+)
+def test_derivation_errors_name_the_line(lineno, line, message, position):
+    """An error inside a schema, key-set or attribute-set fragment names its
+    line and keeps the fragment's position, as ``parse_keyset_lines`` does."""
+    lines = list(_PROOF_LINES)
+    lines[lineno - 1] = line
+    text = "\n".join(lines) + "\n"
+    expected = ("error", f"line {lineno}: {message} (at position {position})", position)
+    assert outcome(parse_derivation, text) == outcome(reference_parse_derivation, text) == expected
 
 
 # --------------------------------------------------------------------------

@@ -244,13 +244,13 @@ _SINGLETONS = _total("abcdef", "aabbcc", keys=({0, 1}, {1}))
 # one class holding every row, key after key
 _ONE_CLASS = _total("aaaaa", "bbbbb", keys=({0}, {0, 1}))
 
-_ORDER = validation._order
+_SORT_PAIRS = validation._sort_pairs
 
 
-def _argsort_order(key, bound):
-    """``_order`` forced onto its stable-argsort fallback, which a real key
-    reaches only from 2**21 rows."""
-    return _ORDER(key, 1 << 63)
+def _lexsort_pairs(hi, hi_bound, lo, lo_bound):
+    """``_sort_pairs`` forced onto its ``np.lexsort`` fallback, which a real
+    sort reaches only past 2**21 rows."""
+    return _SORT_PAIRS(hi, 1 << 63, lo, lo_bound)
 
 
 @settings(max_examples=200)
@@ -263,9 +263,9 @@ def _argsort_order(key, bound):
 def test_block_trace_matches_row_refinement(pair, fallback):
     """Every per-key state of the code-based refinement equals the
     row-by-row reference, under heavy nulls and arbitrary row ids; with
-    ``fallback``, every sort takes ``_order``'s stable-argsort route."""
+    ``fallback``, every sort takes ``_sort_pairs``' lexsort route."""
     rel, ks = pair
-    with mock.patch.object(validation, "_order", _argsort_order) if fallback else contextlib.nullcontext():
+    with mock.patch.object(validation, "_sort_pairs", _lexsort_pairs) if fallback else contextlib.nullcontext():
         assert block_trace(rel, ks) == reference_block_trace(rel, ks)
         assert_routes_agree(rel, ks)
 
@@ -684,18 +684,24 @@ def test_most_distinct_first_cuts_the_refinement_work(monkeypatch):
 
 
 @given(st.data())
-def test_order_is_the_stable_argsort(data):
-    """``_order`` on both routes: packed when ``bound`` leaves room for the
-    index bits, the stable argsort when it is above that room. Keys come
-    from a few values below ``bound``, so ties are common."""
-    m = data.draw(st.integers(1, 300))
-    room = 1 << (63 - m.bit_length())
-    bound = data.draw(st.one_of(st.just(room), st.integers(room + 1, 2 * room), st.integers(room + 1, 1 << 63)))
-    values = data.draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=8))
-    key = np.array(data.draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)), dtype=np.int64)
-    ordered, order = validation._order(key, bound)
-    assert np.array_equal(order, np.argsort(key, kind="stable"))
-    assert np.array_equal(ordered, key[order])
+def test_sort_pairs_is_the_lexsort(data):
+    """``_sort_pairs`` on both routes: packed when ``hi_bound`` leaves room
+    for ``lo``'s bits, ``np.lexsort`` when it is above that room. The pairs
+    are distinct, and their ``hi`` values come from a few below
+    ``hi_bound``, so ties on ``hi`` are common."""
+    lo_bound = data.draw(st.integers(1, 300))
+    room = 1 << (63 - max(lo_bound - 1, 1).bit_length())
+    hi_bound = data.draw(
+        st.one_of(st.integers(1, room), st.just(room), st.integers(room + 1, 2 * room), st.integers(room + 1, 1 << 63))
+    )
+    values = data.draw(st.lists(st.integers(0, hi_bound - 1), min_size=1, max_size=8))
+    pair_st = st.tuples(st.sampled_from(values), st.integers(0, lo_bound - 1))
+    pairs = data.draw(st.lists(pair_st, min_size=1, max_size=300, unique=True))
+    hi, lo = (np.array(side, dtype=np.int64) for side in zip(*pairs))
+    order = np.lexsort((lo, hi))
+    sorted_hi, sorted_lo = validation._sort_pairs(hi, hi_bound, lo, lo_bound)
+    assert np.array_equal(sorted_hi, hi[order])
+    assert np.array_equal(sorted_lo, lo[order])
 
 
 def _wide_rows(missing: float) -> list[tuple[str | None, ...]]:
@@ -707,20 +713,20 @@ def _wide_rows(missing: float) -> list[tuple[str | None, ...]]:
 
 def _wide_key_sorts(monkeypatch, rel: Relation, ks: KeySet) -> tuple[list[int], list[bool]]:
     """Validate ``ks`` with both routes, checking their answers. Returns
-    the ``_dense`` calls per route, and whether each ``_order`` call packed."""
+    the ``_dense`` calls per route, and whether each ``_sort_pairs`` call packed."""
     dense_calls, packed = [], []
-    dense, order = validation._dense, validation._order
+    dense, sort_pairs = validation._dense, validation._sort_pairs
 
     def spy_dense(key, bound):
         dense_calls[-1] += 1
         return dense(key, bound)
 
-    def spy_order(key, bound):
-        packed.append(bound <= 1 << (63 - len(key).bit_length()))
-        return order(key, bound)
+    def spy_sort_pairs(hi, hi_bound, lo, lo_bound):
+        packed.append(hi_bound <= 1 << (63 - max(lo_bound - 1, 1).bit_length()))
+        return sort_pairs(hi, hi_bound, lo, lo_bound)
 
     monkeypatch.setattr(validation, "_dense", spy_dense)
-    monkeypatch.setattr(validation, "_order", spy_order)
+    monkeypatch.setattr(validation, "_sort_pairs", spy_sort_pairs)
     expected = violating_tuples_naive(rel, ks)
     assert expected
     for route, check in ((violating_blocks, lambda b: b.row_ids == expected), (satisfies, lambda ok: not ok)):
@@ -734,15 +740,15 @@ _WIDE_SCHEMA = Schema(tuple(f"a{i}" for i in range(12)))
 
 def test_wide_key_re_densifies_and_stays_packed(monkeypatch):
     """A 12-column key over the wide rows with 10% missing cells, plus the
-    first 20 again: the class key outgrows the room ``_order`` needs for
-    its index bits, so ``_split`` re-densifies it twice, and every
-    ``_order`` call packs. ``satisfies`` refines nothing there, since a row
+    first 20 again: the class key outgrows the room ``_sort_pairs`` needs
+    below it for a row position, so ``_split`` re-densifies it twice, and
+    every ``_sort_pairs`` call packs. ``satisfies`` refines nothing there, since a row
     missing a cell of the only key is a witness; it re-densifies on rows
     where each row is total on one of two keys."""
     rows = _wide_rows(0.1)
     rel = Relation.from_values(_WIDE_SCHEMA, rows + rows[:20])
     dense_calls, packed = _wide_key_sorts(monkeypatch, rel, KeySet.of(range(12)))
-    # violating_blocks: two re-densifies; the final sort calls _order directly
+    # violating_blocks: two re-densifies; the final sort calls _sort_pairs directly
     assert dense_calls == [2, 0]
     # _split's two re-densifies, its final sort and its merge of the
     # incomplete rows' copies; and the maximal-block filter's one
@@ -771,8 +777,8 @@ def test_total_wide_key_re_densifies_and_stays_packed(monkeypatch):
     each fit a packed sort, and nothing re-densifies. Re-densifying on
     that path takes a key with missing cells whose surviving members are
     all total: below, a complete ``id`` column first leaves only 20 pairs
-    of total rows, and the key's later columns outgrow the room of their
-    20 blocks. Every ``_order`` call packs."""
+    of total rows, and the key's later columns outgrow the room that the
+    positions of 420 rows leave. Every ``_sort_pairs`` call packs."""
     rows = _wide_rows(0.0)
     rel = Relation.from_values(_WIDE_SCHEMA, rows + rows[:20])
     dense_calls, packed = _wide_key_sorts(monkeypatch, rel, KeySet.of(range(12)))
@@ -791,6 +797,6 @@ def test_total_wide_key_re_densifies_and_stays_packed(monkeypatch):
     )
     assert rel.null_counts[0] == 0 and all(rel.null_counts[1:])
     dense_calls, packed = _wide_key_sorts(monkeypatch, rel, KeySet.of({0}, range(1, 13)))
-    assert dense_calls == [1, 1]
-    # per route, the id round's sort, then the key's re-densify and sort
-    assert len(packed) == 6 and all(packed)
+    assert dense_calls == [2, 2]
+    # per route, the id round's sort, then the key's two re-densifies and sort
+    assert len(packed) == 8 and all(packed)
