@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import implication
-from .core import AttrSet, KeySet, Relation, ResourceLimit, Schema, attr_sort_key
+from .core import AttrSet, KeySet, ResourceLimit, Schema, attr_sort_key
+from .relation import Relation
 
 __all__ = [
     "AntiKeyReport",

@@ -22,7 +22,8 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
-from .core import KeySet, Relation, Schema, format_keyset
+from .core import KeySet, Schema, format_keyset
+from .relation import Relation
 from .validation import satisfies, violating_blocks, violating_tuples_naive
 
 __all__ = [

@@ -20,6 +20,10 @@ error line, when the reader of standard output closed it early, as
   their walk, :data:`~keysets.implication.CHOICE_CAP`;
 * the block rows of one refinement state in ``validate --algo linear``
   and ``bench``, :data:`~keysets.validation.BLOCK_ROW_CAP` row copies.
+
+Each command imports the relation-backed layers it uses (validation,
+ingest, armstrong, bench) when it runs, so ``from-3sat``, ``check-proof``
+and an ``implies`` that needs no witness never load numpy.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence, TextIO, TypeVar
 
-from .armstrong import anti_keys, armstrong_chain
-from .bench import format_table, gen_random_keyset, gen_sequential_keysets, reports_to_jsonl, run_bench
 from .core import (
     KeySet,
     ResourceLimit,
@@ -46,8 +48,6 @@ from .core import (
 )
 from .implication import ImplicationInstance, from_3sat, implies, parse_dimacs
 from .inference import first_invalid_step, parse_derivation
-from .ingest import IngestConfig, IngestError, load_csv, read_schema, write_csv
-from .validation import violating_blocks, violating_tuples_naive
 
 __all__ = ["main", "run_cli"]
 
@@ -65,32 +65,28 @@ def _resolve_schema(spec: str) -> Schema:
     too long to be a path is a list (``os.path.isfile`` is then false)."""
     if not os.path.isfile(spec):
         return parse_schema(spec)
+    from .ingest import read_schema
+
     return _read(spec, read_schema)
 
 
 def _read(path: str, parse: Callable[[TextIO], T]) -> T:
     """``parse`` of the file at ``path``, opened as UTF-8 with any leading
     byte-order mark dropped and line ends as written. An error in the
-    file's content, such as a byte that is not UTF-8, names the file."""
+    file's content, such as a byte that is not UTF-8, is re-raised as a
+    ``ValueError`` that names the file."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             return parse(fh)
         except ValueError as exc:
-            raise IngestError(f"{path}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_keyset_family(path: str, schema: Schema):
     family = _read(path, lambda fh: parse_keyset_lines(fh.read(), schema))
     if not family:
-        raise IngestError(f"{path}: no key sets found")
+        raise ValueError(f"{path}: no key sets found")
     return family
-
-
-def _ingest_config(args: argparse.Namespace) -> IngestConfig:
-    tokens = tuple(args.null_token) if args.null_token else IngestConfig().null_tokens
-    return IngestConfig(
-        delimiter=args.delimiter, null_tokens=tokens, has_header=not args.no_header
-    )
 
 
 def _add_ingest_options(sub: argparse.ArgumentParser) -> None:
@@ -104,11 +100,16 @@ def _add_ingest_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_data(args: argparse.Namespace):
-    config = _ingest_config(args)
+    from .ingest import IngestConfig, load_csv
+
+    tokens = tuple(args.null_token) if args.null_token else IngestConfig().null_tokens
+    config = IngestConfig(delimiter=args.delimiter, null_tokens=tokens, has_header=not args.no_header)
     return _read(args.data, lambda fh: load_csv(fh, config))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .validation import violating_blocks, violating_tuples_naive
+
     relation = _load_data(args)
     schema = relation.schema
     if args.keyset is not None:
@@ -157,6 +158,8 @@ def _cmd_implies(args: argparse.Namespace) -> int:
     if witness.choice:
         chosen = ", ".join(format_attr_set(k, schema) for k in witness.choice)
         print(f"failing choice: {chosen}")
+    from .ingest import write_csv
+
     if args.witness_out:
         write_csv(witness.relation, args.witness_out)
         print(f"witness written to {args.witness_out}")
@@ -179,6 +182,9 @@ def _cmd_check_proof(args: argparse.Namespace) -> int:
 
 
 def _cmd_armstrong(args: argparse.Namespace) -> int:
+    from .armstrong import anti_keys, armstrong_chain
+    from .ingest import write_csv
+
     schema = _resolve_schema(args.schema)
     sigma = _read_keyset_family(args.sigma, schema)
     report = anti_keys(sigma, schema)
@@ -197,6 +203,8 @@ def _cmd_armstrong(args: argparse.Namespace) -> int:
 
 
 def _cmd_antikeys(args: argparse.Namespace) -> int:
+    from .armstrong import anti_keys
+
     schema = _resolve_schema(args.schema)
     sigma = _read_keyset_family(args.sigma, schema)
     for anti in anti_keys(sigma, schema).anti_keys:
@@ -206,6 +214,8 @@ def _cmd_antikeys(args: argparse.Namespace) -> int:
 
 def _generated_keysets(args: argparse.Namespace, schema: Schema) -> tuple[KeySet, ...]:
     """The key sets that ``--mode``, ``--param``, ``--seed`` and ``--count`` ask for."""
+    from .bench import gen_random_keyset, gen_sequential_keysets
+
     if args.param is not None and args.param < 1:
         raise ValueError("generator parameter must be >= 1")
     if args.mode == "sequential":
@@ -216,7 +226,7 @@ def _generated_keysets(args: argparse.Namespace, schema: Schema) -> tuple[KeySet
             raise ValueError(f"sequential index {args.param} exceeds schema size {len(family)}")
         return (family[args.param - 1],)
     if args.param is None:
-        raise IngestError("--param (random key size m) is required for random mode")
+        raise ValueError("--param (random key size m) is required for random mode")
     if args.count < 1:
         raise ValueError("count must be >= 1")
     return tuple(gen_random_keyset(schema, args.param, (args.seed or 0) + i) for i in range(args.count))
@@ -240,6 +250,8 @@ def _cmd_from_3sat(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import format_table, reports_to_jsonl, run_bench
+
     relation = _load_data(args)
     keysets = _generated_keysets(args, relation.schema)
     algos = ("naive", "linear") if args.algo == "both" else (args.algo,)

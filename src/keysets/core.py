@@ -1,13 +1,12 @@
-"""Relational data model for key-set integrity constraints.
+"""Schemas, key sets, their text grammar and the error types.
 
 A key set is a non-empty collection of keys, where each key is a non-empty
 set of attributes. A relation satisfies a key set when every pair of
 distinct rows is separated by at least one key: both rows are total on the
 key (no missing value on its attributes) and their projections differ.
-
-Missing values are represented as ``None``. Two ``None`` cells never count
-as matching; this never has to be special-cased because every comparison
-first requires totality on the attributes being compared.
+Relations themselves live in :mod:`keysets.relation`, the one model module
+that needs numpy; this module, and the reasoning layers built on it
+(implication, inference), use only the standard library.
 
 Attributes are referred to by column index into a :class:`Schema`. An
 attribute set is a plain ``frozenset[int]``. Display order is canonical:
@@ -19,21 +18,16 @@ stable and diffable.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator
 
 __all__ = [
     "AttrSet",
     "KeySet",
     "KeySetFamily",
     "ParseError",
-    "Relation",
     "ResourceLimit",
-    "Row",
     "Schema",
     "attr_sort_key",
     "format_attr_name",
@@ -151,115 +145,6 @@ class KeySet:
 KeySetFamily = tuple[KeySet, ...]
 
 
-@dataclass(frozen=True)
-class Row:
-    """One tuple of a relation, as :attr:`Relation.rows` decodes it; ``None`` is missing."""
-
-    row_id: int
-    values: tuple[str | None, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class Relation:
-    """A bag of rows over a schema, stored column-encoded.
-
-    ``codes`` is a read-only, column-major int32 ``(rows, width)``
-    matrix: each column's distinct strings get dense codes ``0, 1, ...``
-    in order of first appearance, listed in ``dictionaries[column]``, and
-    a missing value is ``-1``. Each column is contiguous, so validation
-    reads a key column without striding across rows. ``row_ids``
-    (read-only) makes duplicate rows distinct. Build relations with
-    :meth:`from_values` or ``load_csv``, which share one encoder; copies
-    and unpickled relations go through the constructor, which makes any
-    matrix column-major and sets both arrays read-only.
-    """
-
-    schema: Schema
-    codes: np.ndarray
-    dictionaries: tuple[tuple[str, ...], ...]
-    row_ids: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", np.asfortranarray(self.codes))
-        self.codes.flags.writeable = self.row_ids.flags.writeable = False
-
-    def __reduce__(self):
-        return type(self), (self.schema, self.codes, self.dictionaries, self.row_ids)
-
-    @classmethod
-    def from_values(
-        cls,
-        schema: Schema,
-        values: Iterable[Sequence[str | None]],
-        row_ids: Sequence[int] | None = None,
-    ) -> "Relation":
-        rows = list(values)
-        ids = list(range(len(rows)) if row_ids is None else row_ids)
-        width = len(schema)
-        if len(ids) != len(rows) or set(map(len, rows)) - {width}:
-            # a strict zip raises on a row-id count that does not match
-            row_id, row = next((i, r) for i, r in zip(ids, rows, strict=True) if len(r) != width)
-            raise ValueError(f"row {row_id} has {len(row)} cells, schema has {width}")
-        if len(set(ids)) < len(ids):
-            raise ValueError(f"duplicate row id {next(i for i, c in Counter(ids).items() if c > 1)}")
-        return cls._encode(schema, zip(*rows) if rows else [()] * width, np.array(ids, dtype=np.int64))
-
-    @classmethod
-    def _encode(
-        cls,
-        schema: Schema,
-        columns: Iterable[Sequence[str | None]],
-        row_ids: np.ndarray,
-        null_tokens: frozenset[str] | None = None,
-    ) -> "Relation":
-        """The one encoder, shared by :meth:`from_values` and ``load_csv``.
-
-        Takes one column at a time, each with a cell per row id. The null
-        test runs once per distinct cell: with ``null_tokens``, a cell is
-        missing when its trimmed text is one of them; without, when it is
-        ``None``.
-        """
-        flat, dictionaries = [], []
-        for column in columns:
-            code = dict.fromkeys(column, -1)
-            if null_tokens is None:
-                kept = [cell for cell in code if cell is not None]
-            else:
-                kept = [cell for cell in code if cell.strip() not in null_tokens]
-            code.update(zip(kept, range(len(kept))))
-            flat += map(code.__getitem__, column)
-            dictionaries.append(tuple(kept))
-        # one conversion for all columns; per-column array writes cost more
-        # than the encoding itself on a two-row witness. The transpose of
-        # the column-by-column buffer is already column-major.
-        codes = np.fromiter(flat, np.int32, len(flat)).reshape(len(dictionaries), len(row_ids)).T
-        return cls(schema, codes, tuple(dictionaries), row_ids)
-
-    @cached_property
-    def rows(self) -> tuple[Row, ...]:
-        """The rows, decoded from ``codes`` on first use; code -1 picks the trailing None."""
-        columns = [map((*d, None).__getitem__, c) for d, c in zip(self.dictionaries, self.codes.T.tolist())]
-        return tuple(map(Row, self.row_ids.tolist(), zip(*columns)))
-
-    @cached_property
-    def null_counts(self) -> tuple[int, ...]:
-        """Missing cells per column, counted on first use, not at ingest."""
-        return tuple(np.count_nonzero(self.codes < 0, axis=0).tolist())
-
-    def _key(self) -> tuple:
-        # codes follow first appearance, so equal keys mean equal rows
-        return (self.schema, self.dictionaries, self.row_ids.tobytes(), self.codes.tobytes())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Relation) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __len__(self) -> int:
-        return len(self.row_ids)
-
-
 # --------------------------------------------------------------------------
 # Text grammar.
 #
@@ -324,6 +209,11 @@ _KEYSET_SHAPE = re.compile(
     r"\s*\{\s*(?:" + _ATTR_SET + r"\s*,\s*)*" + _ATTR_SET + r"\s*\}\s*", re.DOTALL
 )
 _ATTR_SET_SHAPE = re.compile(r"\s*" + _ATTR_SET + r"\s*", re.DOTALL)
+# An attribute set of plain identifiers only; its names are the text
+# between the braces split on commas.
+_PLAIN_ATTR_SET = re.compile(
+    r"\{\s*(" + _IDENT.pattern + r"(?:\s*,\s*" + _IDENT.pattern + r")*)\s*\}"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -415,19 +305,26 @@ def _parse_sets(
     The shape regex checks the bracket structure with quoted names
     skipped. Each attribute-set text it finds is parsed once and kept in
     ``memo``, which the caller owns, so a caller parsing many texts passes
-    one memo for all of them. Text that fails anywhere is parsed again as
-    a whole, so every error carries its position in ``text``.
+    one memo for all of them. A text of plain identifiers is split on its
+    commas and its names looked up; any other, such as one with a quoted
+    name, goes through the tokenizer. Text that fails anywhere is parsed
+    again as a whole, so every error carries its position in ``text``.
     """
     if (_KEYSET_SHAPE if keyset else _ATTR_SET_SHAPE).fullmatch(text):
         sets: list[AttrSet] = []
         for part in _ATTR_SET_RE.findall(text):
             attrs = memo.get(part)
             if attrs is None:
+                plain = _PLAIN_ATTR_SET.fullmatch(part)
                 try:
-                    p = _Parser(_tokenize(part), schema)
-                    attrs = p.attr_set(allow_empty=True)
-                    p.finish()
-                except ParseError:
+                    if plain:
+                        names = plain.group(1).split(",")
+                        attrs = frozenset([schema._positions[name.strip()] for name in names])
+                    else:
+                        p = _Parser(_tokenize(part), schema)
+                        attrs = p.attr_set(allow_empty=True)
+                        p.finish()
+                except (KeyError, ParseError):
                     break
                 memo[part] = attrs
             if keyset and not attrs:

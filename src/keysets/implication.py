@@ -37,9 +37,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .core import AttrSet, KeySet, KeySetFamily, ParseError, Relation, ResourceLimit, Schema
+from .core import AttrSet, KeySet, KeySetFamily, ParseError, ResourceLimit, Schema
+
+if TYPE_CHECKING:
+    from .relation import Relation
 
 __all__ = [
     "BRUTEFORCE_ATTR_CAP",
@@ -98,7 +101,13 @@ def build_counterexample(choice: Sequence[AttrSet], inst: ImplicationInstance) -
     is identical; otherwise it carries "1" on the smallest free attribute
     of each chosen key, "0" elsewhere on the union of the chosen keys, and
     missing values everywhere else.
+
+    This is the one call in this module that builds a relation, so it
+    imports :mod:`keysets.relation`, and numpy with it, on first use;
+    deciding implication without a witness never loads them.
     """
+    from .relation import Relation
+
     schema = inst.schema
     choice = tuple(choice)
     if len(choice) != len(inst.sigma):

@@ -529,7 +529,9 @@ def _parse_params(
     rule: str, text: str, schema: Schema, memo: dict[str, AttrSet], lineno: int
 ) -> StepParams:
     def attr_set(part: str) -> AttrSet:
-        return _parse_sets(part.strip(), schema, memo, keyset=False)
+        part = part.strip()
+        attrs = memo.get(part)
+        return _parse_sets(part, schema, memo, keyset=False) if attrs is None else attrs
 
     text = text.strip()
     if rule == RULE_UPWARD:

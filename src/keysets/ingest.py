@@ -29,7 +29,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import Relation, Schema
+from .core import Schema
+from .relation import Relation
 
 __all__ = [
     "DatasetStats",

@@ -85,7 +85,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import AttrSet, KeySet, Relation, ResourceLimit, attr_sort_key
+from .core import AttrSet, KeySet, ResourceLimit, attr_sort_key
+from .relation import Relation
 
 __all__ = [
     "BLOCK_ROW_CAP",

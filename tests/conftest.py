@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +184,20 @@ def union_rel(abcd_schema) -> Relation:
 
 # --------------------------------------------------------------------------
 # Helpers importable via ``from conftest import ...``.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_without_numpy(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
+    """``python *argv`` in a fresh process whose path starts with a
+    ``numpy`` package that raises ``ImportError``, then the library."""
+    blocker = tmp_path / "blocked" / "numpy"
+    blocker.mkdir(parents=True, exist_ok=True)
+    (blocker / "__init__.py").write_text('raise ImportError("numpy is blocked")\n', encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(blocker.parent), str(SRC)))}
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, encoding="utf-8", timeout=60
+    )
 
 
 def by_id(relation: Relation) -> dict[int, Row]:

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import WARD_CSV, pair_c_instance, random_keys_family
+from conftest import WARD_CSV, pair_c_instance, random_keys_family, run_without_numpy
 from keysets import (
     KeySet,
     Relation,
@@ -270,6 +270,24 @@ def test_module_entry_points():
             [sys.executable, *argv], env=env, capture_output=True, text=True, encoding="utf-8", timeout=60
         )
         assert (done.returncode, done.stdout) == (0, "{{a},{b}}\n{{a,b}}\n")
+
+
+def test_reasoning_commands_run_without_numpy(tmp_path, ward_derivation):
+    """``from-3sat``, ``check-proof`` and an implied ``implies`` import no
+    relation layer, so they run where numpy cannot be imported."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n", encoding="utf-8")
+    proof = tmp_path / "proof.txt"
+    proof.write_text(ward_derivation, encoding="utf-8")
+    sigma = tmp_path / "sigma.txt"
+    sigma.write_text("{{a}}\n", encoding="utf-8")
+    for argv, first_line in (
+        (["from-3sat", "--dimacs", str(cnf)], "schema: x1,not_x1,x2,not_x2"),
+        (["check-proof", "--derivation", str(proof)], "valid (1 steps)"),
+        (["implies", "--schema", "a,b", "--sigma", str(sigma), "--phi", "{{a},{b}}"], "implied"),
+    ):
+        done = run_without_numpy(tmp_path, "-m", "keysets", *argv)
+        assert (done.returncode, done.stdout.split("\n", 1)[0], done.stderr) == (0, first_line, "")
 
 
 class _ClosedPipe(io.StringIO):

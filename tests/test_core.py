@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CELLS, WARD_ROWS, by_id, keysets_st, pair_separated_by, pair_violates, relations_st
+from conftest import (
+    CELLS,
+    WARD_ROWS,
+    by_id,
+    keysets_st,
+    pair_separated_by,
+    pair_violates,
+    relations_st,
+    run_without_numpy,
+)
 import keysets
 from keysets import (
     KeySet,
@@ -116,6 +125,44 @@ def test_public_api_snapshot():
         "write_csv",
     ]
     assert all(hasattr(keysets, name) for name in keysets.__all__)
+
+
+def test_public_names_resolve_from_their_submodules():
+    assert set(keysets.__all__) <= set(dir(keysets))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        keysets.no_such_name
+    assert keysets.Relation is keysets.relation.Relation
+    assert keysets.IngestError is keysets.ingest.IngestError
+
+
+# The reasoning layers in a process where numpy cannot be imported. The
+# last call needs a relation layer, so it shows the block is in place.
+_REASONING_WITHOUT_NUMPY = """
+import sys
+
+import keysets as K
+
+inst = K.from_3sat(K.parse_dimacs("p cnf 2 4\\n1 2 0\\n-1 2 0\\n1 -2 0\\n-1 -2 0\\n"))
+assert K.implies(inst).implied
+schema = K.parse_schema("a,b")
+sigma = K.parse_keyset_lines("{{a}}\\n{{a,b}}", schema)
+phi = K.parse_keyset("{{a},{b}}", schema)
+assert K.implies(K.ImplicationInstance(schema, sigma, phi)).implied
+assert K.implies_unary(sigma, phi)
+text = K.format_derivation(K.derive_keyset(inst.sigma, inst.phi), inst.schema)
+derivation, _ = K.parse_derivation(text)
+assert K.check_derivation(derivation)
+assert "numpy" not in sys.modules
+try:
+    K.violating_blocks
+except ImportError as exc:
+    print(exc)
+"""
+
+
+def test_reasoning_layers_never_import_numpy(tmp_path):
+    done = run_without_numpy(tmp_path, "-c", _REASONING_WITHOUT_NUMPY)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "numpy is blocked\n", "")
 
 
 # --------------------------------------------------------------------------

@@ -202,6 +202,20 @@ def test_empty_choice_entries_are_skipped():
     assert check_derivation(parsed[0])
 
 
+def test_derivation_with_quoted_names_round_trips():
+    """Attribute sets of plain names are split on their commas, sets with a
+    quoted name go through the tokenizer; one proof text mixes both."""
+    schema = Schema.of("a b", "x,y", "c", "d")
+    family = (KeySet.of({0}, {1}), KeySet.of({1}, {2, 3}))
+    d = derive_keyset(family, KeySet.of({0, 2}, {0, 3}, {1}))
+    text = format_derivation(d, schema)
+    assert '{"a b",c}' in text and '{"x,y"}' in text and "{c,d}" in text
+    parsed = parse_derivation(text)
+    assert parsed == reference_parse_derivation(text) == (d, schema)
+    assert format_derivation(*parsed) == text
+    assert check_derivation(parsed[0])
+
+
 _PROOF_LINES = (
     "schema: a,b",
     "premise 0: {{a}}",
