@@ -10,9 +10,10 @@ benchmarks the validation algorithms.
 
 Each public name is imported from its submodule on first use (PEP 562),
 so ``import keysets`` loads no layer yet. Only the layers that hold
-relations (relation, validation, ingest, armstrong, bench) import numpy;
-parsing key sets and DIMACS, deciding implication without a witness and
-deriving, writing, reading and checking proofs never do.
+relations (relation, validation, armstrong, bench, and ingest once it
+loads a relation) import numpy; parsing key sets and DIMACS, reading a
+CSV header, generating key-set workloads, deciding implication without
+a witness and deriving, writing, reading and checking proofs never do.
 """
 
 from importlib import import_module as _import_module
@@ -35,8 +36,6 @@ _SOURCE = {
         ),
         "bench": (
             "BenchReport",
-            "gen_random_keyset",
-            "gen_sequential_keysets",
             "run_bench",
             "synthetic_relation",
             "violation_percentage",
@@ -56,6 +55,7 @@ _SOURCE = {
             "parse_keyset_lines",
             "parse_schema",
         ),
+        "families": ("gen_random_keyset", "gen_sequential_keysets"),
         "implication": (
             "CnfFormula",
             "CounterexampleWitness",

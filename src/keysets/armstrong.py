@@ -16,6 +16,7 @@ intersections of consecutive anti-keys, which are again agreement-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -187,18 +188,18 @@ def armstrong_chain(report: AntiKeyReport, schema: Schema) -> Relation:
     """The chain relation of :func:`generate_armstrong` for a report
     :func:`anti_keys` already made, so a caller that wants both pays for
     the transversals once. Each row copies the last and draws fresh
-    values only outside its anti-key."""
-    prefixes = [f"v{name}_" for name in schema.attributes]
-    counters = [1] * len(schema)
-    row = [f"{p}0" for p in prefixes]
-    rows = [tuple(row)]
-    everything = schema.all_attrs()
-    for anti in report.anti_keys:
-        for c in everything - anti:
-            row[c] = f"{prefixes[c]}{counters[c]}"
-            counters[c] += 1
-        rows.append(tuple(row))
-    return Relation.from_values(schema, rows)
+    values only outside its anti-key, so a column's codes are the running
+    count of its fresh draws, written without formatting a cell."""
+    rows = len(report.anti_keys) + 1
+    fresh = np.ones((rows, len(schema)), dtype=np.int32)
+    fresh[0] = 0
+    kept = np.fromiter(chain.from_iterable(report.anti_keys), np.intp)
+    fresh[np.repeat(np.arange(1, rows), list(map(len, report.anti_keys))), kept] = 0
+    codes = np.cumsum(fresh, axis=0, dtype=np.int32)
+    dictionaries = tuple(
+        tuple(f"v{name}_{k}" for k in range(top + 1)) for name, top in zip(schema.attributes, codes[-1].tolist())
+    )
+    return Relation(schema, codes, dictionaries, np.arange(rows, dtype=np.int64))
 
 
 def is_armstrong_unary(relation: Relation, sigma: Sequence[KeySet]) -> bool:

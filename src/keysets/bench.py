@@ -1,14 +1,9 @@
-"""Benchmark helpers: workload generators, timing, and report output.
+"""Benchmark helpers: synthetic relations, timing, and report output.
 
-Key-set generators mirror two experiment designs. The sequential family
-over attributes A1..An is X_i = {{A1..Ai},{A(i+1)},...,{An}}, walking
-from the unary key set (i = 1) to the single full key (i = n). The
-random generator draws one key of m distinct attributes and keeps the
-remaining attributes as singletons, giving cardinality n + 1 - m.
-
-Randomness comes from the Mersenne Twister (``random.Random``) with an
-explicit seed and an explicit partial Fisher-Yates selection, so the
-same seed reproduces the same workload everywhere.
+The key-set workloads the benchmark runs come from :mod:`keysets.families`.
+Synthetic relations draw from the Mersenne Twister (``random.Random``)
+with an explicit seed, so the same seed reproduces the same relation
+everywhere.
 
 Reports serialize to JSON lines; each carries the raw repeat times
 (warm-up excluded), their mean, and the violation counts.
@@ -29,8 +24,6 @@ from .validation import satisfies, violating_blocks, violating_tuples_naive
 __all__ = [
     "BenchReport",
     "format_table",
-    "gen_random_keyset",
-    "gen_sequential_keysets",
     "reports_to_jsonl",
     "run_bench",
     "synthetic_relation",
@@ -51,33 +44,6 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "times_ms": list(self.times_ms)}
-
-
-def gen_sequential_keysets(schema: Schema) -> tuple[KeySet, ...]:
-    """The full sequential family X_1..X_n over the schema."""
-    n = len(schema)
-    out = []
-    for i in range(1, n + 1):
-        keys = [frozenset(range(i))]
-        keys.extend(frozenset({a}) for a in range(i, n))
-        out.append(KeySet(frozenset(keys)))
-    return tuple(out)
-
-
-def gen_random_keyset(schema: Schema, m: int, seed: int | None = None) -> KeySet:
-    """One random key of ``m`` attributes plus all other attributes as
-    singletons. Attribute selection is a partial Fisher-Yates shuffle."""
-    n = len(schema)
-    if not 1 <= m <= n:
-        raise ValueError(f"key size {m} must be between 1 and {n}")
-    rng = random.Random(seed)
-    idx = list(range(n))
-    for j in range(m):
-        k = rng.randrange(j, n)
-        idx[j], idx[k] = idx[k], idx[j]
-    keys = [frozenset(idx[:m])]
-    keys.extend(frozenset({a}) for a in idx[m:])
-    return KeySet(frozenset(keys))
 
 
 def synthetic_relation(

@@ -22,8 +22,10 @@ error line, when the reader of standard output closed it early, as
   and ``bench``, :data:`~keysets.validation.BLOCK_ROW_CAP` row copies.
 
 Each command imports the relation-backed layers it uses (validation,
-ingest, armstrong, bench) when it runs, so ``from-3sat``, ``check-proof``
-and an ``implies`` that needs no witness never load numpy.
+ingest, armstrong, bench) when it runs, so ``from-3sat``, ``check-proof``,
+``gen-keysets`` and an ``implies`` that needs no witness never load
+numpy, also when ``--schema`` names a CSV file, whose header is read
+without it.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def _cmd_antikeys(args: argparse.Namespace) -> int:
 
 def _generated_keysets(args: argparse.Namespace, schema: Schema) -> tuple[KeySet, ...]:
     """The key sets that ``--mode``, ``--param``, ``--seed`` and ``--count`` ask for."""
-    from .bench import gen_random_keyset, gen_sequential_keysets
+    from .families import gen_random_keyset, gen_sequential_keysets
 
     if args.param is not None and args.param < 1:
         raise ValueError("generator parameter must be >= 1")

@@ -7,7 +7,8 @@ first requires totality on the attributes being compared.
 This is the only model module that imports numpy. Validation, ingest,
 Armstrong relations and bench build on it; the reasoning layers
 (:mod:`~keysets.core`, :mod:`~keysets.implication`,
-:mod:`~keysets.inference`) do not, so importing them loads no array
+:mod:`~keysets.inference`) and the key-set generators
+(:mod:`~keysets.families`) do not, so importing them loads no array
 library.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,46 +70,74 @@ class Relation:
         row_ids: Sequence[int] | None = None,
     ) -> "Relation":
         rows = list(values)
-        ids = list(range(len(rows)) if row_ids is None else row_ids)
+        ids = range(len(rows)) if row_ids is None else list(row_ids)
         width = len(schema)
         if len(ids) != len(rows) or set(map(len, rows)) - {width}:
             # a strict zip raises on a row-id count that does not match
             row_id, row = next((i, r) for i, r in zip(ids, rows, strict=True) if len(r) != width)
             raise ValueError(f"row {row_id} has {len(row)} cells, schema has {width}")
-        if len(set(ids)) < len(ids):
+        if row_ids is not None and len(set(ids)) < len(ids):
             raise ValueError(f"duplicate row id {next(i for i, c in Counter(ids).items() if c > 1)}")
-        return cls._encode(schema, zip(*rows) if rows else [()] * width, np.array(ids, dtype=np.int64))
+        # row positions need no conversion: the encoder numbers its rows
+        id_array = None if row_ids is None else np.array(ids, dtype=np.int64)
+        return cls._encode(schema, [zip(*rows) if rows else [()] * width], id_array)
 
     @classmethod
     def _encode(
         cls,
         schema: Schema,
-        columns: Iterable[Sequence[str | None]],
-        row_ids: np.ndarray,
+        chunks: Iterable[Iterable[Sequence[str | None]]],
+        row_ids: np.ndarray | None = None,
         null_tokens: frozenset[str] | None = None,
     ) -> "Relation":
         """The one encoder, shared by :meth:`from_values` and ``load_csv``.
 
-        Takes one column at a time, each with a cell per row id. The null
-        test runs once per distinct cell: with ``null_tokens``, a cell is
-        missing when its trimmed text is one of them; without, when it is
-        ``None``.
+        Takes the rows a chunk at a time, at least one chunk, each as one
+        sequence of cells per column. A column's first chunk starts its
+        dict from cell to code, and later chunks add only the cells it
+        lacks, so codes follow first appearance in the whole input and the
+        null test runs once per distinct cell: with ``null_tokens``, a cell
+        is missing when its trimmed text is one of them; without, when it
+        is ``None``. ``row_ids`` defaults to the row positions.
         """
-        flat, dictionaries = [], []
-        for column in columns:
-            code = dict.fromkeys(column, -1)
-            if null_tokens is None:
-                kept = [cell for cell in code if cell is not None]
-            else:
-                kept = [cell for cell in code if cell.strip() not in null_tokens]
-            code.update(zip(kept, range(len(kept))))
-            flat += map(code.__getitem__, column)
-            dictionaries.append(tuple(kept))
-        # one conversion for all columns; per-column array writes cost more
-        # than the encoding itself on a two-row witness. The transpose of
-        # the column-by-column buffer is already column-major.
-        codes = np.fromiter(flat, np.int32, len(flat)).reshape(len(dictionaries), len(row_ids)).T
-        return cls(schema, codes, tuple(dictionaries), row_ids)
+        codes: list[dict[str | None, int]] = []
+        dictionaries: list[list[str]] = []
+        parts = []
+        for columns in chunks:
+            flat: list[int] = []
+            first = not codes
+            if first:  # every cell of the first chunk is new
+                columns = list(columns)
+                codes = list(map(dict.fromkeys, columns, repeat(-1)))
+                dictionaries = [[] for _ in codes]
+            for column, code, kept in zip(columns, codes, dictionaries):
+                if first:
+                    fresh = code
+                else:
+                    start = len(flat)
+                    try:  # most chunks bring a column no cell it lacks
+                        flat += map(code.__getitem__, column)
+                        continue
+                    except KeyError:
+                        del flat[start:]
+                    fresh = [cell for cell in dict.fromkeys(column) if cell not in code]
+                    code.update(zip(fresh, repeat(-1)))
+                if null_tokens is not None:
+                    new = [cell for cell in fresh if cell.strip() not in null_tokens]
+                else:  # a copy and one removal cost less than a comprehension
+                    new = list(fresh)
+                    if None in new:
+                        new.remove(None)
+                code.update(zip(new, count(len(kept))))
+                kept += new
+                flat += map(code.__getitem__, column)
+            # one conversion per chunk for all its columns; per-column array
+            # writes cost more than the encoding itself on a two-row witness
+            parts.append(np.fromiter(flat, np.int32, len(flat)).reshape(len(codes), -1))
+        # the transpose of the column-by-column buffer is already column-major
+        matrix = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)).T
+        ids = np.arange(len(matrix), dtype=np.int64) if row_ids is None else row_ids
+        return cls(schema, matrix, tuple(map(tuple, dictionaries)), ids)
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:

@@ -273,18 +273,23 @@ def test_module_entry_points():
 
 
 def test_reasoning_commands_run_without_numpy(tmp_path, ward_derivation):
-    """``from-3sat``, ``check-proof`` and an implied ``implies`` import no
-    relation layer, so they run where numpy cannot be imported."""
+    """``from-3sat``, ``check-proof``, ``gen-keysets`` and an implied
+    ``implies``, with the schema inline or read from a CSV header, import
+    no relation layer, so they run where numpy cannot be imported."""
     cnf = tmp_path / "f.cnf"
     cnf.write_text("p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n", encoding="utf-8")
     proof = tmp_path / "proof.txt"
     proof.write_text(ward_derivation, encoding="utf-8")
     sigma = tmp_path / "sigma.txt"
     sigma.write_text("{{a}}\n", encoding="utf-8")
+    header = tmp_path / "header.csv"
+    header.write_text("a,b\n1,2\n", encoding="utf-8")
     for argv, first_line in (
         (["from-3sat", "--dimacs", str(cnf)], "schema: x1,not_x1,x2,not_x2"),
         (["check-proof", "--derivation", str(proof)], "valid (1 steps)"),
         (["implies", "--schema", "a,b", "--sigma", str(sigma), "--phi", "{{a},{b}}"], "implied"),
+        (["implies", "--schema", str(header), "--sigma", str(sigma), "--phi", "{{a},{b}}"], "implied"),
+        (["gen-keysets", "--schema", "a,b", "--mode", "sequential"], "{{a},{b}}"),
     ):
         done = run_without_numpy(tmp_path, "-m", "keysets", *argv)
         assert (done.returncode, done.stdout.split("\n", 1)[0], done.stderr) == (0, first_line, "")

@@ -135,9 +135,11 @@ def test_public_names_resolve_from_their_submodules():
     assert keysets.IngestError is keysets.ingest.IngestError
 
 
-# The reasoning layers in a process where numpy cannot be imported. The
-# last call needs a relation layer, so it shows the block is in place.
+# The reasoning layers, reading a CSV header and generating key sets, in a
+# process where numpy cannot be imported. The last call needs a relation
+# layer, so it shows the block is in place.
 _REASONING_WITHOUT_NUMPY = """
+import io
 import sys
 
 import keysets as K
@@ -152,6 +154,9 @@ assert K.implies_unary(sigma, phi)
 text = K.format_derivation(K.derive_keyset(inst.sigma, inst.phi), inst.schema)
 derivation, _ = K.parse_derivation(text)
 assert K.check_derivation(derivation)
+assert K.read_schema(io.StringIO("a,b\\n1,2\\n")) == schema
+assert K.gen_sequential_keysets(schema)[0] == phi
+assert K.gen_random_keyset(schema, 2, seed=0) == sigma[1]
 assert "numpy" not in sys.modules
 try:
     K.violating_blocks
