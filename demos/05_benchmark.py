@@ -10,9 +10,10 @@ gap widen.
 Run: python3 demos/05_benchmark.py
 """
 
-from keysets import Schema, gen_sequential_keysets
+from keysets import Schema
 from keysets.bench import (
     format_table,
+    gen_sequential_keysets,
     run_bench,
     synthetic_relation,
     violation_percentage,

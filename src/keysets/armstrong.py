@@ -188,18 +188,11 @@ def armstrong_chain(report: AntiKeyReport, schema: Schema) -> Relation:
     """The chain relation of :func:`generate_armstrong` for a report
     :func:`anti_keys` already made, so a caller that wants both pays for
     the transversals once. Each row copies the last and draws fresh
-    values only outside its anti-key, so a column's codes are the running
-    count of its fresh draws, written without formatting a cell."""
-    rows = len(report.anti_keys) + 1
-    fresh = np.ones((rows, len(schema)), dtype=np.int32)
-    fresh[0] = 0
+    values only outside its anti-key."""
+    draws = np.ones((len(report.anti_keys), len(schema)), dtype=bool)
     kept = np.fromiter(chain.from_iterable(report.anti_keys), np.intp)
-    fresh[np.repeat(np.arange(1, rows), list(map(len, report.anti_keys))), kept] = 0
-    codes = np.cumsum(fresh, axis=0, dtype=np.int32)
-    dictionaries = tuple(
-        tuple(f"v{name}_{k}" for k in range(top + 1)) for name, top in zip(schema.attributes, codes[-1].tolist())
-    )
-    return Relation(schema, codes, dictionaries, np.arange(rows, dtype=np.int64))
+    draws[np.repeat(np.arange(len(report.anti_keys)), list(map(len, report.anti_keys))), kept] = False
+    return Relation._from_draws(schema, draws, [f"v{name}_" for name in schema.attributes])
 
 
 def is_armstrong_unary(relation: Relation, sigma: Sequence[KeySet]) -> bool:

@@ -1,9 +1,9 @@
 """Benchmark helpers: synthetic relations, timing, and report output.
 
-The key-set workloads the benchmark runs come from :mod:`keysets.families`.
-Synthetic relations draw from the Mersenne Twister (``random.Random``)
-with an explicit seed, so the same seed reproduces the same relation
-everywhere.
+The key-set generators live in :mod:`keysets.families`, which imports
+no numpy; this module re-exports them. Synthetic relations draw from the
+Mersenne Twister (``random.Random``) with an explicit seed, so the same
+seed reproduces the same relation everywhere.
 
 Reports serialize to JSON lines; each carries the raw repeat times
 (warm-up excluded), their mean, and the violation counts.
@@ -18,12 +18,15 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .core import KeySet, Schema, format_keyset
+from .families import gen_random_keyset, gen_sequential_keysets
 from .relation import Relation
 from .validation import satisfies, violating_blocks, violating_tuples_naive
 
 __all__ = [
     "BenchReport",
     "format_table",
+    "gen_random_keyset",
+    "gen_sequential_keysets",
     "reports_to_jsonl",
     "run_bench",
     "synthetic_relation",

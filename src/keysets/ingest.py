@@ -26,10 +26,11 @@ cell-identical.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from collections import deque
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import add
@@ -106,12 +107,32 @@ def schema_from_header(header: Iterable[str]) -> Schema:
     return Schema(tuple(names))
 
 
-def _open(source: str | Path | io.TextIOBase):
+@contextmanager
+def _open(source: str | Path | io.TextIOBase) -> Iterator[TextIO]:
     """A path opened as UTF-8 with any leading byte-order mark dropped,
-    or a stream as given."""
-    if isinstance(source, (str, Path)):
-        return open(source, newline="", encoding="utf-8-sig")
-    return nullcontext(source)
+    or a stream as given. Text that is not UTF-8 raises
+    :class:`IngestError`. The text layer decodes a block at a time and
+    gives the byte position within that block; for a path it is given
+    within the text after the mark, as one whole read gives it."""
+    is_path = isinstance(source, (str, Path))
+    with open(source, newline="", encoding="utf-8-sig") if is_path else nullcontext(source) as fh:
+        mark = len(codecs.BOM_UTF8) if is_path and fh.buffer.peek(3).startswith(codecs.BOM_UTF8) else 0
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # the block the decoder was given ends where the bytes read so far end
+            shift = fh.buffer.tell() - len(exc.object) - mark if is_path else 0
+            raise IngestError(f"malformed csv: {_decode_error(exc, shift)}") from None
+
+
+def _decode_error(exc: UnicodeDecodeError, shift: int) -> str:
+    """``str(exc)`` with the byte position moved on by ``shift``."""
+    start, end = exc.start + shift, exc.end + shift
+    if exc.end - exc.start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{end - 1}"
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
 def _schema(first: list[str] | None, config: IngestConfig) -> Schema:
@@ -217,11 +238,9 @@ def _columns(batches: Iterator[_Batch], width: int, header: int) -> Iterator[lis
 def read_schema(source: str | Path | io.TextIOBase, config: IngestConfig = IngestConfig()) -> Schema:
     """The schema :func:`load_csv` gives a CSV, read from its first record only."""
     with _open(source) as fh:
-        # a stream's lines cut again at every line break, as load_csv's text is
-        lines = chain.from_iterable(io.StringIO(line, newline="") for line in fh)
         try:
-            first = next(csv.reader(lines, delimiter=config.delimiter), None)
-        except (csv.Error, UnicodeDecodeError) as exc:
+            first = next(csv.reader(_lines("", fh), delimiter=config.delimiter), None)
+        except csv.Error as exc:
             raise IngestError(f"malformed csv: {exc}") from None
     return _schema(first, config)
 
@@ -236,20 +255,17 @@ def load_csv(source: str | Path | io.TextIOBase, config: IngestConfig = IngestCo
     """
     from .relation import Relation  # numpy loads with the first relation, not with a header
 
-    try:
-        with _open(source) as fh:
-            batches = _batches(fh, config.delimiter)
-            cells, lengths = next(batches, ([], []))
-            try:
-                schema = _schema(cells[: lengths[0]] if lengths else None, config)
-            except IngestError:
-                deque(batches, 0)
-                raise
-            columns = _columns(chain([(cells, lengths)], batches), len(schema), int(config.has_header))
-            del cells
-            return Relation._encode(schema, columns, None, frozenset(config.null_tokens))
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"malformed csv: {exc}") from None
+    with _open(source) as fh:
+        batches = _batches(fh, config.delimiter)
+        cells, lengths = next(batches, ([], []))
+        try:
+            schema = _schema(cells[: lengths[0]] if lengths else None, config)
+        except IngestError:
+            deque(batches, 0)
+            raise
+        columns = _columns(chain([(cells, lengths)], batches), len(schema), int(config.has_header))
+        del cells
+        return Relation._encode(schema, columns, None, frozenset(config.null_tokens))
 
 
 def write_csv(

@@ -45,9 +45,11 @@ class Relation:
     a missing value is ``-1``. Each column is contiguous, so validation
     reads a key column without striding across rows. ``row_ids``
     (read-only) makes duplicate rows distinct. Build relations with
-    :meth:`from_values` or ``load_csv``, which share one encoder; copies
-    and unpickled relations go through the constructor, which makes any
-    matrix column-major and sets both arrays read-only.
+    :meth:`from_values` or ``load_csv``, which share one encoder, or, for
+    a chain of rows that each repeat or replace the last one's values,
+    :meth:`_from_draws`; copies and unpickled relations go through the
+    constructor, which makes any matrix column-major and sets both arrays
+    read-only.
     """
 
     schema: Schema
@@ -115,7 +117,10 @@ class Relation:
                     fresh = code
                 else:
                     start = len(flat)
-                    try:  # most chunks bring a column no cell it lacks
+                    # most chunks bring a column no cell it lacks (173 of the 256
+                    # later chunk-columns of validate-bulk's CSV), so encode with
+                    # the codes it has and look for new cells only on a miss
+                    try:
                         flat += map(code.__getitem__, column)
                         continue
                     except KeyError:
@@ -138,6 +143,21 @@ class Relation:
         matrix = (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)).T
         ids = np.arange(len(matrix), dtype=np.int64) if row_ids is None else row_ids
         return cls(schema, matrix, tuple(map(tuple, dictionaries)), ids)
+
+    @classmethod
+    def _from_draws(cls, schema: Schema, draws: np.ndarray, prefixes: Sequence[str]) -> "Relation":
+        """A total chain relation, one row more than ``draws``, a boolean
+        ``(rows - 1, width)`` mask. The first row holds ``<prefix>0`` in
+        each column; row ``i + 1`` repeats row ``i`` except where
+        ``draws[i]`` is set, where the column takes its next value
+        ``<prefix>1``, ``<prefix>2``, .... A column's codes are then the
+        running count of its draws, which numbers its values in order of
+        first appearance, as :meth:`_encode` does, without a cell to read.
+        """
+        codes = np.zeros((len(draws) + 1, len(schema)), dtype=np.int32, order="F")
+        np.cumsum(draws, axis=0, dtype=np.int32, out=codes[1:])
+        dictionaries = tuple(tuple(f"{p}{k}" for k in range(top + 1)) for p, top in zip(prefixes, codes[-1].tolist()))
+        return cls(schema, codes, dictionaries, np.arange(len(codes), dtype=np.int64))
 
     @cached_property
     def rows(self) -> tuple[Row, ...]:

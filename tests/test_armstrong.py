@@ -208,6 +208,27 @@ def test_generate_armstrong_single_attribute():
     assert is_armstrong_unary(rel, (KeySet.of({0}),))
 
 
+def test_armstrong_chain_encodes_its_rows_as_from_values_does():
+    """The chain's codes, written as running counts of fresh draws, equal
+    the encoding of its formatted rows: row 0 takes ``v<name>_0``, and
+    each later row keeps its anti-key's cells and draws the next value
+    elsewhere."""
+    rng = random.Random(7)
+    for _ in range(200):
+        width = rng.randint(1, 8)
+        schema = Schema(tuple(f"c{i}" for i in range(width)))
+        report = anti_keys(random_family(rng, width, max_members=4), schema)
+        row = [f"v{name}_0" for name in schema.attributes]
+        drawn = [0] * width
+        rows = [tuple(row)]
+        for anti in report.anti_keys:
+            for c in set(range(width)) - anti:
+                drawn[c] += 1
+                row[c] = f"v{schema.attributes[c]}_{drawn[c]}"
+            rows.append(tuple(row))
+        assert armstrong_chain(report, schema) == Relation.from_values(schema, rows)
+
+
 def test_is_armstrong_detects_missing_agreement(ward_schema, x1, x2):
     rel = generate_armstrong((x1, x2), ward_schema)
     kept = rel.rows[:-1]

@@ -9,6 +9,7 @@ another differential test, with the chunk patched down to a few
 characters, holds the chunked reading to a whole-text reference.
 """
 
+import codecs
 import csv
 import io
 import random
@@ -437,17 +438,35 @@ def test_chunked_load_matches_the_whole_text(tmp_path_factory, case, chunk, bom,
 @pytest.mark.parametrize(
     "head", ["a,b\n1,2,3\n", "\na,b\n", "a,b\n" + "x" * 200_000 + ",1\n"], ids=["ragged", "blank", "long"]
 )
-def test_undecodable_bytes_are_reported_first(tmp_path, head):
+@pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+def test_undecodable_bytes_are_reported_first(tmp_path, head, bom):
     """Read whole, the text fails on its decoding before anything else, so
     a byte that is not UTF-8 far past a ragged row, a blank first record
-    or an over-long field is the error reported."""
+    or an over-long field is the error reported, at its position in the
+    text after any byte-order mark, not in the block being decoded."""
     path = tmp_path / "late.csv"
-    path.write_bytes(head.encode() + b"1,2\n" * 50_000 + b"\xff\n")
-    with pytest.raises(IngestError, match="malformed csv: 'utf-8' codec can't decode byte 0xff"):
+    path.write_bytes(bom + head.encode() + b"1,2\n" * 50_000 + b"\xff\n")
+    at = len(head) + 200_000
+    with pytest.raises(IngestError, match=f"malformed csv: 'utf-8' codec can't decode byte 0xff in position {at}: "):
         load_csv(path)
     path.write_bytes(head.encode() + b"1,2\n" * 50_000)
     with pytest.raises(IngestError, match="row 0 has 3|blank|field larger"):
         load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "bad", [b"\xe9", b"\xe2\x82x", b"\xe2\x82\xac\xff", b"\xe2\x82"], ids=["one", "two", "after-euro", "cut-short"]
+)
+@pytest.mark.parametrize("at", [0, 65_534, 100_000, 160_004], ids=["start", "block-edge", "late", "end"])
+def test_decode_errors_name_the_position_in_the_whole_file(tmp_path, bad, at):
+    """A UTF-8 error anywhere in a path, straddling a block of the text
+    layer or cut short by the end, gives the message the whole file's
+    decoding gives."""
+    body = b"a,b\n" + b"1,2\n" * 40_000  # 160,004 bytes
+    for data in (body[:at] + bad + body[at:], codecs.BOM_UTF8 + body[:at] + bad + body[at:]):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        assert outcome(lambda _, c: load_csv(path, c), "", IngestConfig()) == reference_load(data, IngestConfig())
 
 
 def test_lone_carriage_returns_are_not_read_whole():
